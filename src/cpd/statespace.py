@@ -1,10 +1,19 @@
 """Explicit-state exploration of the reachable configuration graph.
 
-States are deduplicated by canonicalized term plus valuation; the written
-set only mediates synchronization inside a single step and is excluded from
-identity by default (``rho_in_identity`` retains it).  Exploration is
-breadth first with transitions ordered by (channel, senders, receivers), so
-state numbering is stable across runs.
+A state's identity is the pair (canonical id of its term, tuple of variable
+values).  The canonical id comes from the process-wide hash-consing table in
+``terms``: every canonical node is interned under its type, its non-term
+fields and its children's ids, so equal ids mean equal canonical forms.  The
+id of a term is cached on the term, and a successor shares all but its new
+spine with its source, so keying a successor costs a few table lookups
+rather than a walk and a deep hash of the whole term.  The table lives as
+long as the process, one CLI call.  The stored states keep the raw terms the
+steps produced, so printed terms and numbering do not depend on the ids.
+
+The written set only mediates synchronization inside a single step and is
+excluded from identity by default (``rho_in_identity`` retains it).
+Exploration is breadth first with transitions ordered by (channel, senders,
+receivers), so state numbering is stable across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from collections import deque
 
 from .errors import BudgetError
 from .semantics import Configuration, Engine
-from .terms import Action, Declarations, ProcessTerm, canonical
+from .terms import Action, Declarations, canonical_id
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -69,7 +78,7 @@ def explore(
     engine = Engine(declarations)
 
     def identity(conf: Configuration):
-        key = (canonical(conf.term), conf.env.alpha)
+        key = (canonical_id(conf.term), conf.env.alpha.values_tuple)
         return key + (conf.env.rho,) if rho_in_identity else key
 
     states: list[Configuration] = [root]

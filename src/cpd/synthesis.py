@@ -12,7 +12,7 @@ minimized exactly against the off-set, with everything else a don't-care.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ObserverError, SynthesisError
 from .parser import SystemSpec
@@ -75,22 +75,20 @@ class SynthesisSpace:
     bad: frozenset[int]
     forbidden: frozenset[tuple[int, Channel]]
     iterations: int
+    # ctrl_targets[s]: targets of each enabled controllable channel of state s
+    ctrl_targets: list[dict[Channel, list[int]]] = field(repr=False)
 
     def good(self) -> set[int]:
         return {s for s in range(len(self.space.states)) if s not in self.bad}
 
     def controllable_targets(self, state: int) -> dict[Channel, list[int]]:
-        out: dict[Channel, list[int]] = {}
-        for action, dst in self.space.succ[state]:
-            if action.channel.controllable:
-                out.setdefault(action.channel, []).append(dst)
-        return out
+        return self.ctrl_targets[state]
 
     def allowed(self, state: int, channel: Channel) -> bool:
         """Final per-state verdict for an enabled controllable channel."""
         if (state, channel) in self.forbidden:
             return False
-        targets = self.controllable_targets(state).get(channel, [])
+        targets = self.ctrl_targets[state].get(channel, [])
         return all(t not in self.bad for t in targets)
 
 
@@ -180,7 +178,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             "no supervisor exists: the initial state cannot be kept safe "
             f"({len(bad)} of {n} states are unsafe)"
         )
-    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), iterations)
+    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), iterations, ctrl_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +468,7 @@ def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
         for state in range(len(ss.states)):
             if state in bad:
                 continue
-            targets = syn.controllable_targets(state).get(channel)
-            if not targets:
+            if channel not in syn.ctrl_targets[state]:
                 continue
             alpha = ss.states[state].env.alpha
             if syn.allowed(state, channel):

@@ -417,24 +417,79 @@ def prefix(action: Action, cont: ProcessTerm, update: UpdateMap = EMPTY_UPDATE) 
 
 # ---------------------------------------------------------------------------
 # canonical form for state identity
+#
+# Canonical forms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+# hash-consing", ML Workshop 2006).  One table per process gives every
+# canonical node an integer id, keyed by the node's type, its non-term fields
+# (action, update, condition, blocked set) and the ids of its canonical
+# children.  Two canonical forms are therefore equal exactly when their ids
+# are, and a state key built on an id hashes in constant time instead of
+# walking the term.  The table only grows and lives as long as the process;
+# each CLI call is one process.  It is not locked, so canonicalize from one
+# thread at a time.
+#
+# The id of a term's canonical form is cached on the term itself, in the
+# instance attribute ``_cid``, which equality, hashing and repr ignore.  A
+# successor built by a step shares everything but its spine with its source,
+# so only the new spine nodes are normalized.  The cache dies with its term:
+# a memo in a dict keyed by the term would keep every throwaway successor of
+# an exploration alive.  Alt summands are sorted by ``key()``, a deep tuple;
+# it is computed only for nodes that are sorted as summands, once per id.
+
+_ids: dict[tuple, int] = {}
+_nodes: list[ProcessTerm] = []
+_summand_keys: dict[int, tuple] = {}
+
+
+def _intern(cls: type, fields: tuple, children: tuple[int, ...]) -> int:
+    key = (cls, *fields, *children)
+    cid = _ids.get(key)
+    if cid is None:
+        cid = len(_nodes)
+        _nodes.append(cls(*fields, *[_nodes[c] for c in children]))
+        _ids[key] = cid
+    return cid
+
+
+def _summand_key(cid: int) -> tuple:
+    key = _summand_keys.get(cid)
+    if key is None:
+        key = _summand_keys[cid] = _nodes[cid].key()
+    return key
+
+
+def canonical_id(t: ProcessTerm) -> int:
+    """Interned id of ``canonical(t)``: equal exactly for equal canonical
+    forms within one process."""
+    cid = t.__dict__.get("_cid")
+    if cid is None:
+        cid = _normalize(t)
+        object.__setattr__(t, "_cid", cid)
+    return cid
+
 
 def canonical(t: ProcessTerm) -> ProcessTerm:
     """Normalize for state identity: flatten nested Alt/Seq associatively,
     sort and deduplicate Alt summands, collapse 1.p to p."""
-    if isinstance(t, (Deadlock, Termination)):
-        return t
-    if isinstance(t, Prefix):
-        return Prefix(t.action, t.update, canonical(t.cont))
-    if isinstance(t, Guard):
-        return Guard(t.condition, canonical(t.body))
-    if isinstance(t, Encap):
-        return Encap(t.blocked, canonical(t.body))
-    if isinstance(t, Star):
-        return Star(canonical(t.body))
+    return _nodes[canonical_id(t)]
+
+
+def _normalize(t: ProcessTerm) -> int:
+    # the spine types a step rebuilds come first
     if isinstance(t, Par):
-        return Par(canonical(t.left), canonical(t.right))
+        return _intern(Par, (), (canonical_id(t.left), canonical_id(t.right)))
+    if isinstance(t, Encap):
+        return _intern(Encap, (t.blocked,), (canonical_id(t.body),))
+    if isinstance(t, Prefix):
+        return _intern(Prefix, (t.action, t.update), (canonical_id(t.cont),))
+    if isinstance(t, Guard):
+        return _intern(Guard, (t.condition,), (canonical_id(t.body),))
+    if isinstance(t, Star):
+        return _intern(Star, (), (canonical_id(t.body),))
+    if isinstance(t, (Deadlock, Termination)):
+        return _intern(type(t), (), ())
     if isinstance(t, Alt):
-        summands: list[ProcessTerm] = []
+        summands: list[int] = []
         stack = [t.right, t.left]
         while stack:
             s = stack.pop()
@@ -442,14 +497,17 @@ def canonical(t: ProcessTerm) -> ProcessTerm:
                 stack.append(s.right)
                 stack.append(s.left)
             else:
-                summands.append(canonical(s))
-        unique: dict[tuple, ProcessTerm] = {}
-        for s in summands:
-            unique.setdefault(s.key(), s)
+                summands.append(canonical_id(s))
+        unique: dict[tuple, int] = {}
+        for cid in summands:
+            unique.setdefault(_summand_key(cid), cid)
         ordered = [unique[k] for k in sorted(unique)]
-        return alt(*ordered)
+        out = ordered[0]
+        for cid in ordered[1:]:
+            out = _intern(Alt, (), (out, cid))
+        return out
     if isinstance(t, Seq):
-        parts: list[ProcessTerm] = []
+        parts: list[int] = []
         stack = [t.right, t.left]
         while stack:
             s = stack.pop()
@@ -457,14 +515,14 @@ def canonical(t: ProcessTerm) -> ProcessTerm:
                 stack.append(s.right)
                 stack.append(s.left)
             else:
-                c = canonical(s)
-                if not isinstance(c, Termination):
-                    parts.append(c)
+                cid = canonical_id(s)
+                if not isinstance(_nodes[cid], Termination):
+                    parts.append(cid)
         if not parts:
-            return TERMINATION
+            return _intern(Termination, (), ())
         out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Seq(p, out)
+        for cid in reversed(parts[:-1]):
+            out = _intern(Seq, (), (cid, out))
         return out
     raise TypeError(f"not a process term: {t!r}")
 

@@ -8,19 +8,33 @@ fine; these run on tiny inputs.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-from cpd.statespace import StateSpace
+from cpd.errors import BudgetError
+from cpd.semantics import Engine
+from cpd.statespace import DEFAULT_BUDGET, StateSpace
 from cpd.terms import (
+    Alt,
     And,
     BinOp,
     BoolLit,
     Cmp,
+    Deadlock,
+    Encap,
     EnumConst,
+    Guard,
     Imp,
     IntLit,
     Not,
     Or,
+    Par,
+    Prefix,
+    Seq,
+    Star,
+    TERMINATION,
+    Termination,
     VarRef,
+    alt,
 )
 
 
@@ -176,3 +190,109 @@ def all_cube_formulas(domains):
             subs.extend(itertools.combinations(domain, r))
         subsets.append(subs)
     return itertools.product(*subsets)
+
+
+def canonical_oracle(t):
+    """Recursive normalization without sharing: flatten nested Alt/Seq
+    associatively, sort and deduplicate Alt summands by ``key()``, collapse
+    1.p to p.  Rebuilds the whole term on every call."""
+    if isinstance(t, (Deadlock, Termination)):
+        return t
+    if isinstance(t, Prefix):
+        return Prefix(t.action, t.update, canonical_oracle(t.cont))
+    if isinstance(t, Guard):
+        return Guard(t.condition, canonical_oracle(t.body))
+    if isinstance(t, Encap):
+        return Encap(t.blocked, canonical_oracle(t.body))
+    if isinstance(t, Star):
+        return Star(canonical_oracle(t.body))
+    if isinstance(t, Par):
+        return Par(canonical_oracle(t.left), canonical_oracle(t.right))
+    if isinstance(t, Alt):
+        summands = []
+        stack = [t.right, t.left]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, Alt):
+                stack.append(s.right)
+                stack.append(s.left)
+            else:
+                summands.append(canonical_oracle(s))
+        unique = {}
+        for s in summands:
+            unique.setdefault(s.key(), s)
+        ordered = [unique[k] for k in sorted(unique)]
+        return alt(*ordered)
+    if isinstance(t, Seq):
+        parts = []
+        stack = [t.right, t.left]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, Seq):
+                stack.append(s.right)
+                stack.append(s.left)
+            else:
+                c = canonical_oracle(s)
+                if not isinstance(c, Termination):
+                    parts.append(c)
+        if not parts:
+            return TERMINATION
+        out = parts[-1]
+        for p in reversed(parts[:-1]):
+            out = Seq(p, out)
+        return out
+    raise TypeError(f"not a process term: {t!r}")
+
+
+def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
+    """Breadth-first exploration keyed by the whole canonical term (deep
+    equality and hashing) plus the valuation object."""
+    engine = Engine(declarations)
+
+    def identity(conf):
+        key = (canonical_oracle(conf.term), conf.env.alpha)
+        return key + (conf.env.rho,) if rho_in_identity else key
+
+    states = [root]
+    index = {identity(root): 0}
+    marked = set()
+    parents = [None]
+    succ = []
+    transitions = []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        conf = states[src]
+        if engine.terminates(conf):
+            marked.add(src)
+        outgoing = []
+        seen_here = set()
+        steps = engine.step(conf)
+        steps.sort(key=lambda step: step[0].sort_key())
+        for action, target in steps:
+            key = identity(target)
+            dst = index.get(key)
+            if dst is None:
+                if budget is not None and len(states) >= budget:
+                    raise BudgetError(budget)
+                dst = len(states)
+                index[key] = dst
+                states.append(target)
+                parents.append((src, action))
+                queue.append(dst)
+            edge = (action, dst)
+            if edge in seen_here:
+                continue
+            seen_here.add(edge)
+            outgoing.append(edge)
+            transitions.append((src, action, dst))
+        succ.append(outgoing)
+    return StateSpace(
+        declarations=declarations,
+        states=states,
+        initial=0,
+        transitions=transitions,
+        marked=marked,
+        parents=parents,
+        succ=succ,
+    )
