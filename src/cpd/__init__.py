@@ -64,6 +64,7 @@ from .synthesis import (
     minimize_guard,
     synthesize,
     synthesize_detailed,
+    synthesize_from_space,
     verify_synthesis,
 )
 from .terms import (

@@ -24,7 +24,7 @@ from .parser import parse, print_spec
 from .ppf import ppf_text
 from .relations import partial_bisim
 from .statespace import DEFAULT_BUDGET, explore, export
-from .synthesis import integrate_supervisor, synthesize_detailed, verify_synthesis
+from .synthesis import analyze, integrate_supervisor, synthesize_from_space, verify_synthesis
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,25 +169,30 @@ def _check_results(args: argparse.Namespace, spec) -> dict[str, dict]:
         wanted.remove("controllability")
         print("note: no supervisor declared, skipping controllability",
               file=sys.stderr)
-    if "requirements" in wanted or "nonblocking" in wanted:
-        root = operational_root(spec, unsupervised=args.unsupervised)
-        ss = explore(root, spec.declarations, budget)
+    # operational_root is the renamed plant when on_plant, else the supervised plant
+    on_plant = spec.supervisor_name is None or args.unsupervised
+    bare_nonblocking = (args.no_encap_nonblocking
+                        and spec.supervisor_name is not None)
+    ss = None
+    if "requirements" in wanted or ("nonblocking" in wanted
+                                    and not bare_nonblocking):
+        ss = explore(operational_root(spec, args.unsupervised),
+                     spec.declarations, budget)
     if "requirements" in wanted:
         sat = satisfies_globally(ss, list(spec.requirements))
         results["requirements"] = {"holds": sat.holds,
                                    "detail": "" if sat.holds else sat.render(ss)}
     if "controllability" in wanted:
-        res = check_controllability(spec, budget)
-        if res.holds:
-            detail = ""
-        else:
-            sup_ss = explore(supervised_plant(spec), spec.declarations, budget)
-            plant_ss = explore(renamed_plant(spec), spec.declarations, budget)
-            detail = res.counterexample.render(sup_ss, plant_ss)
+        sup_ss = ss if ss is not None and not on_plant else explore(
+            supervised_plant(spec), spec.declarations, budget)
+        plant_ss = ss if ss is not None and on_plant else explore(
+            renamed_plant(spec), spec.declarations, budget)
+        res = check_controllability(spec, budget, supervised=sup_ss, plant=plant_ss)
+        detail = "" if res.holds else res.counterexample.render(sup_ss, plant_ss)
         results["controllability"] = {"holds": res.holds, "detail": detail}
     if "nonblocking" in wanted:
         target = ss
-        if args.no_encap_nonblocking and spec.supervisor_name is not None:
+        if bare_nonblocking:
             bare = supervised_plant(spec, encapsulated=False)
             target = explore(bare, spec.declarations, budget)
         nb = check_nonblocking(target)
@@ -215,8 +220,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = _load(args.file)
     budget = _resolve_budget(args.budget)
-    sup, report = synthesize_detailed(spec, budget)
-    verification = verify_synthesis(spec, sup, budget)
+    syn = analyze(spec, budget)
+    sup, report = synthesize_from_space(spec, syn)
+    verification = verify_synthesis(spec, sup, budget, plant=syn.space)
     integrated = integrate_supervisor(spec, sup)
     out_text = print_spec(integrated)
     payload = {
@@ -259,25 +265,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SpecError as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
         return 1
-    except BudgetError as exc:
+    except (ValueError, FileNotFoundError, CpdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SynthesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CpdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, BudgetError):
+            return 2
+        return 3 if isinstance(exc, SynthesisError) else 1
 
 
 if __name__ == "__main__":

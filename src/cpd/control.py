@@ -9,6 +9,7 @@ plant under the completion renaming.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ModelError
 from .parser import SystemSpec
@@ -17,6 +18,7 @@ from .relations import RelationResult, partial_bisim
 from .semantics import Configuration, Engine, xi_rename
 from .statespace import DEFAULT_BUDGET, StateSpace, coreachable, explore
 from .terms import (
+    Action,
     ActionSet,
     Alt,
     Channel,
@@ -32,32 +34,34 @@ from .terms import (
     Seq,
     Star,
     StateExcludesEvent,
+    Valuation,
     eval_bool,
 )
 
 
-def satisfies(c: Configuration, r: Requirement, declarations: Declarations) -> bool:
-    """Whether a single configuration meets the requirement.
-
+def requirement_fails(r: Requirement, alpha: Valuation, enabled: Callable[[Action], bool]) -> bool:
+    """Whether the requirement fails at the valuation; ``enabled(a)`` tells
+    whether action a is enabled and is asked only when the answer depends on it.
     An event-implies form is the exclusion form with the negated formula: the
     named event may only be enabled where the formula holds."""
-    alpha = c.env.alpha
     if isinstance(r, Invariant):
-        return eval_bool(alpha, r.condition)
+        return not eval_bool(alpha, r.condition)
     if isinstance(r, EventImplies):
-        if eval_bool(alpha, r.condition):
-            return True
-        return not _has_step(c, r.action, declarations)
-    if isinstance(r, StateExcludesEvent):
-        if not eval_bool(alpha, r.condition):
-            return True
-        return not _has_step(c, r.action, declarations)
-    raise TypeError(f"not a requirement: {r!r}")
+        excluded = not eval_bool(alpha, r.condition)
+    elif isinstance(r, StateExcludesEvent):
+        excluded = eval_bool(alpha, r.condition)
+    else:
+        raise TypeError(f"not a requirement: {r!r}")
+    return excluded and enabled(r.action)
 
 
-def _has_step(c: Configuration, action, declarations: Declarations) -> bool:
-    engine = Engine(declarations)
-    return any(a == action for a, _ in engine.step(c))
+def satisfies(c: Configuration, r: Requirement, declarations: Declarations) -> bool:
+    """Whether a single configuration meets the requirement."""
+
+    def enabled(action: Action) -> bool:
+        return any(a == action for a, _ in Engine(declarations).step(c))
+
+    return not requirement_fails(r, c.env.alpha, enabled)
 
 
 @dataclass
@@ -66,10 +70,7 @@ class Violation:
     requirement: Requirement
 
     def render(self, ss: StateSpace) -> str:
-        alpha = ss.states[self.state].env.alpha
-        values = ", ".join(
-            f"{n}={ss.declarations.render_value(n, v)}" for n, v in alpha.items()
-        )
+        values = ss.valuation_text(self.state)
         return f"state {self.state} ({values}) violates: {requirement_to_str(self.requirement)}"
 
 
@@ -95,32 +96,16 @@ class GlobalSatisfaction:
 
 def satisfies_globally(ss: StateSpace, rs: list[Requirement]) -> GlobalSatisfaction:
     """Check every requirement in every reachable state of the space."""
-    engine = Engine(ss.declarations)
     violations: list[Violation] = []
     for state in range(len(ss.states)):
-        conf = ss.states[state]
-        alpha = conf.env.alpha
-        enabled = None
+        alpha = ss.states[state].env.alpha
+        enabled = {a for a, _ in ss.succ[state]}
         for r in rs:
-            if isinstance(r, Invariant):
-                ok = eval_bool(alpha, r.condition)
-            else:
-                if isinstance(r, EventImplies):
-                    excluded = not eval_bool(alpha, r.condition)
-                else:
-                    excluded = eval_bool(alpha, r.condition)
-                if not excluded:
-                    ok = True
-                else:
-                    if enabled is None:
-                        enabled = {a for a, _ in ss.succ[state]}
-                    ok = r.action not in enabled
-            if not ok:
+            if requirement_fails(r, alpha, enabled.__contains__):
                 violations.append(Violation(state, r))
     if not violations:
         return GlobalSatisfaction(True, [], None)
-    first = min(violations, key=lambda v: v.state)
-    return GlobalSatisfaction(False, violations, ss.trace_to(first.state))
+    return GlobalSatisfaction(False, violations, ss.trace_to(violations[0].state))
 
 
 def default_encapsulation(spec: SystemSpec) -> ActionSet:
@@ -186,13 +171,18 @@ def operational_root(spec: SystemSpec, unsupervised: bool = False) -> Configurat
 
 
 def check_controllability(
-    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET
+    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET,
+    supervised: StateSpace | None = None, plant: StateSpace | None = None,
 ) -> RelationResult:
     """The supervised composition must be partially bisimulated by the renamed
-    plant with the uncontrollable actions as bisimulation action set."""
-    left = explore(supervised_plant(spec), spec.declarations, budget)
-    right = explore(renamed_plant(spec), spec.declarations, budget)
-    return partial_bisim(left, right, "uncontrollable")
+    plant with the uncontrollable actions as bisimulation action set.
+    ``supervised`` and ``plant`` are the explored spaces of those two roots,
+    if the caller has them; a space not given is explored here."""
+    if supervised is None:
+        supervised = explore(supervised_plant(spec), spec.declarations, budget)
+    if plant is None:
+        plant = explore(renamed_plant(spec), spec.declarations, budget)
+    return partial_bisim(supervised, plant, "uncontrollable")
 
 
 @dataclass

@@ -40,11 +40,20 @@ class ModelError(CpdError):
 
 
 class BudgetError(CpdError):
-    """State exploration exhausted its budget; results would be incomplete."""
+    """State exploration exhausted its budget; results would be incomplete.
+    The explorer adds how far it got: the states reached, the frontier (found
+    but not yet expanded) and the breadth-first depth of the state expanded."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, states: int | None = None,
+                 frontier: int | None = None, depth: int | None = None):
         self.budget = budget
-        super().__init__(f"state budget exceeded: more than {budget} states reachable")
+        self.states = states
+        self.frontier = frontier
+        self.depth = depth
+        message = f"state budget exceeded: more than {budget} states reachable"
+        if states is not None:
+            message += f" (reached {states} states, frontier {frontier}, depth {depth})"
+        super().__init__(message)
 
 
 class SynthesisError(CpdError):

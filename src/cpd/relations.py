@@ -4,7 +4,7 @@
 the partial bisimulation preorder with bisimulation action set B: termination
 must agree on related pairs, every left step must be simulated by the right,
 and every right step on a B-action must be simulated back by the left.
-B = all actions gives bisulation equivalence of the two roots; B = none gives
+B = all actions gives bisimulation equivalence of the two roots; B = none gives
 plain simulation.
 
 The greatest fixpoint is computed on the product-reachable pairs only.  Any

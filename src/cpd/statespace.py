@@ -43,24 +43,33 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.states)
 
+    def valuation_text(self, state: int, sep: str = ", ") -> str:
+        """The state's valuation as rendered ``name=value`` pairs."""
+        alpha = self.states[state].env.alpha
+        return sep.join(f"{n}={self.declarations.render_value(n, v)}" for n, v in alpha.items())
+
     def trace_to(self, state: int) -> list[Action]:
         """Shortest action trail from the initial state, along the BFS tree."""
-        trail: list[Action] = []
-        cur = state
-        while True:
-            parent = self.parents[cur]
-            if parent is None:
-                break
-            cur, action = parent[0], parent[1]
-            trail.append(action)
-        trail.reverse()
-        return trail
+        return _trail(self.parents, state)
 
     def predecessors(self) -> list[list[tuple[int, Action]]]:
         pred: list[list[tuple[int, Action]]] = [[] for _ in self.states]
         for src, action, dst in self.transitions:
             pred[dst].append((src, action))
         return pred
+
+
+def _trail(parents: list[tuple[int, Action] | None], state: int) -> list[Action]:
+    trail: list[Action] = []
+    cur = state
+    while True:
+        parent = parents[cur]
+        if parent is None:
+            break
+        cur, action = parent[0], parent[1]
+        trail.append(action)
+    trail.reverse()
+    return trail
 
 
 def explore(
@@ -72,7 +81,7 @@ def explore(
     """Breadth-first closure of the step relation from the root.
 
     Raises BudgetError rather than truncating when more than ``budget``
-    states are reachable."""
+    states are reachable; the error says how far the search got."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     engine = Engine(declarations)
@@ -103,7 +112,8 @@ def explore(
             dst = index.get(key)
             if dst is None:
                 if budget is not None and len(states) >= budget:
-                    raise BudgetError(budget)
+                    raise BudgetError(budget, len(states), len(queue),
+                                      len(_trail(parents, src)))
                 dst = len(states)
                 index[key] = dst
                 states.append(target)
@@ -146,18 +156,13 @@ def _arity_label(action: Action) -> str:
     return f"{action.channel.name}!{action.senders}?{action.receivers}"
 
 
-def _alpha_label(ss: StateSpace, state: int) -> str:
-    alpha = ss.states[state].env.alpha
-    return ",".join(f"{n}={ss.declarations.render_value(n, v)}" for n, v in alpha.items())
-
-
 def export(ss: StateSpace, format: str) -> str:
     """Render the space as a graphviz digraph or as JSON."""
     if format == "dot":
         lines = ["digraph statespace {", "  rankdir=LR;", "  node [shape=circle];"]
         for i in range(len(ss.states)):
             shape = ", peripheries=2" if i in ss.marked else ""
-            lines.append(f'  s{i} [label="{i}\\n{_alpha_label(ss, i)}"{shape}];')
+            lines.append(f'  s{i} [label="{i}\\n{ss.valuation_text(i, ",")}"{shape}];')
         lines.append("  init [shape=point];")
         lines.append(f"  init -> s{ss.initial};")
         for src, action, dst in ss.transitions:

@@ -23,6 +23,7 @@ from .control import (
     check_nonblocking,
     check_controllability,
     default_encapsulation,
+    requirement_fails,
     satisfies_globally,
     supervised_plant,
     renamed_plant,
@@ -38,7 +39,6 @@ from .terms import (
     EMPTY_UPDATE,
     EnumConst,
     EnumDomain,
-    EventImplies,
     FALSE,
     Guard,
     IntLit,
@@ -47,13 +47,11 @@ from .terms import (
     Prefix,
     ProcessTerm,
     Star,
-    StateExcludesEvent,
     TERMINATION,
     TRUE,
     Valuation,
     VarRef,
     alt,
-    eval_bool,
     send,
 )
 
@@ -104,22 +102,12 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
         alpha = ss.states[state].env.alpha
         enabled = {a for a, _ in ss.succ[state]}
         for r in spec.requirements:
-            if isinstance(r, Invariant):
-                if not eval_bool(alpha, r.condition):
-                    bad.add(state)
+            if not requirement_fails(r, alpha, enabled.__contains__):
                 continue
-            if isinstance(r, EventImplies):
-                excluded = not eval_bool(alpha, r.condition)
-            elif isinstance(r, StateExcludesEvent):
-                excluded = eval_bool(alpha, r.condition)
-            else:
-                raise TypeError(f"not a requirement: {r!r}")
-            if not excluded or r.action not in enabled:
-                continue
-            if r.action.channel.controllable:
-                forbidden.add((state, r.action.channel))
-            else:
+            if isinstance(r, Invariant) or not r.action.channel.controllable:
                 bad.add(state)
+            else:
+                forbidden.add((state, r.action.channel))
 
     unc_pred: list[list[int]] = [[] for _ in range(n)]
     for src, action, dst in ss.transitions:
@@ -487,10 +475,10 @@ def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
     return SupervisorSpec(guards=guards, termination_guard=TRUE)
 
 
-def synthesize_detailed(
-    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET
+def synthesize_from_space(
+    spec: SystemSpec, syn: SynthesisSpace
 ) -> tuple[SupervisorSpec, SynthesisReport]:
-    syn = analyze(spec, budget)
+    """Guards and the synthesis summary from an analyzed space."""
     sup = guards_from_space(spec, syn)
     report = SynthesisReport(
         guards={c.name: bool_to_str(g) for c, g in sup.guards.items()},
@@ -501,6 +489,12 @@ def synthesize_detailed(
         explored_states=len(syn.space.states),
     )
     return sup, report
+
+
+def synthesize_detailed(
+    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET
+) -> tuple[SupervisorSpec, SynthesisReport]:
+    return synthesize_from_space(spec, analyze(spec, budget))
 
 
 def synthesize(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SupervisorSpec:
@@ -563,15 +557,18 @@ class VerificationReport:
 
 
 def verify_synthesis(
-    spec: SystemSpec, sup: SupervisorSpec, budget: int | None = DEFAULT_BUDGET
+    spec: SystemSpec, sup: SupervisorSpec, budget: int | None = DEFAULT_BUDGET,
+    plant: StateSpace | None = None,
 ) -> VerificationReport:
     """Re-check the three closure obligations on the supervised plant built
-    from the emitted supervisor."""
+    from the emitted supervisor, explored once for all three.  ``plant`` is
+    the explored renamed plant if the caller has it, e.g. ``analyze``'s
+    ``SynthesisSpace.space``: the integrated spec keeps the plant."""
     integrated = integrate_supervisor(spec, sup)
     ss = explore(supervised_plant(integrated), spec.declarations, budget)
     return VerificationReport(
         requirements=satisfies_globally(ss, list(spec.requirements)),
-        controllability=check_controllability(integrated, budget),
+        controllability=check_controllability(integrated, budget, supervised=ss, plant=plant),
         nonblocking=check_nonblocking(ss),
         supervised_states=len(ss.states),
     )

@@ -10,9 +10,18 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from cpd.control import (
+    GlobalSatisfaction,
+    Violation,
+    check_nonblocking,
+    renamed_plant,
+    supervised_plant,
+)
 from cpd.errors import BudgetError
+from cpd.relations import partial_bisim
 from cpd.semantics import Engine
-from cpd.statespace import DEFAULT_BUDGET, StateSpace
+from cpd.statespace import DEFAULT_BUDGET, StateSpace, explore
+from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
     Alt,
     And,
@@ -22,9 +31,11 @@ from cpd.terms import (
     Deadlock,
     Encap,
     EnumConst,
+    EventImplies,
     Guard,
     Imp,
     IntLit,
+    Invariant,
     Not,
     Or,
     Par,
@@ -295,4 +306,50 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
         marked=marked,
         parents=parents,
         succ=succ,
+    )
+
+
+def satisfies_globally_oracle(ss, rs):
+    """Requirement check with its own evaluation of each requirement form:
+    an invariant must hold; an event-implies or state-excludes requirement
+    fails where its condition excludes its action and the action is
+    enabled."""
+    violations = []
+    for state in range(len(ss.states)):
+        alpha = ss.states[state].env.alpha
+        enabled = {a for a, _ in ss.succ[state]}
+        for r in rs:
+            holds = eval_bool_oracle(alpha, r.condition)
+            if isinstance(r, Invariant):
+                ok = holds
+            elif isinstance(r, EventImplies):
+                ok = holds or r.action not in enabled
+            else:
+                ok = (not holds) or r.action not in enabled
+            if not ok:
+                violations.append(Violation(state, r))
+    if not violations:
+        return GlobalSatisfaction(True, [], None)
+    first = min(violations, key=lambda v: v.state)
+    return GlobalSatisfaction(False, violations, shortest_trail_oracle(ss, first.state))
+
+
+def check_controllability_oracle(spec, budget=DEFAULT_BUDGET):
+    """Controllability explored from scratch: both spaces on every call."""
+    left = explore(supervised_plant(spec), spec.declarations, budget)
+    right = explore(renamed_plant(spec), spec.declarations, budget)
+    return partial_bisim(left, right, "uncontrollable")
+
+
+def verify_synthesis_oracle(spec, sup, budget=DEFAULT_BUDGET):
+    """Verification that explores the supervised plant once for the
+    requirement and nonblocking checks, then both spaces again inside
+    the controllability check, with requirements checked by the oracle."""
+    integrated = integrate_supervisor(spec, sup)
+    ss = explore(supervised_plant(integrated), spec.declarations, budget)
+    return VerificationReport(
+        requirements=satisfies_globally_oracle(ss, list(spec.requirements)),
+        controllability=check_controllability_oracle(integrated, budget),
+        nonblocking=check_nonblocking(ss),
+        supervised_states=len(ss.states),
     )

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from cpd.cli import main
+from cpd.control import operational_root
 from cpd.models import model_text
 from cpd.parser import parse
+from cpd.statespace import explore
 
 DOOMED = """uncontrollable u;
 var x : 1..2 = 1;
@@ -111,6 +113,27 @@ class TestExplore:
 
     def test_rho_identity_flag(self, agv, capsys):
         assert main(["explore", agv, "--rho-in-identity"]) == 0
+
+    @pytest.mark.parametrize("flags, frontier, depth", [
+        (["--unsupervised"], 7, 1),
+        ([], 5, 2),
+    ])
+    def test_budget_error_says_how_far_it_got(self, ppf, flags, frontier,
+                                              depth, capsys):
+        assert main(["explore", ppf, "--budget", "10"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: state budget exceeded: more than 10 states "
+                       f"reachable (reached 10 states, frontier {frontier}, "
+                       f"depth {depth})\n")
+        # the same figures from the full breadth-first space: the eleventh
+        # state is found while expanding its parent, when the states
+        # numbered after that parent are the frontier
+        spec = parse(model_text("ppf_1_1"), "cell.cpd")
+        root = operational_root(spec, unsupervised=bool(flags))
+        full = explore(root, spec.declarations, budget=None)
+        src = full.parents[10][0]
+        assert 10 - (src + 1) == frontier
+        assert len(full.trace_to(src)) == depth
 
 
 class TestCheck:
