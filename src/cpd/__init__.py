@@ -60,10 +60,10 @@ from .synthesis import (
     VerificationReport,
     analyze,
     emit_supervisor,
+    guards_from_space,
     integrate_supervisor,
     minimize_guard,
     synthesize,
-    synthesize_detailed,
     synthesize_from_space,
     verify_synthesis,
 )

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 pass, 1 failed check or diagnostics,
-2 resource exhaustion, 3 empty synthesis.
+2 resource exhaustion (state budget, recursion depth, memory), 3 empty
+synthesis.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_budget(value: int | None) -> int:
     if value is None:
         env = os.environ.get("CPD_BUDGET")
-        value = int(env) if env else DEFAULT_BUDGET
+        try:
+            value = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"CPD_BUDGET must be an integer, got {env!r}") from None
     if value < 1:
         raise SpecError.single("budget must be at least 1", "<args>")
     return value
@@ -187,7 +191,7 @@ def _check_results(args: argparse.Namespace, spec) -> dict[str, dict]:
             supervised_plant(spec), spec.declarations, budget)
         plant_ss = ss if ss is not None and on_plant else explore(
             renamed_plant(spec), spec.declarations, budget)
-        res = check_controllability(spec, budget, supervised=sup_ss, plant=plant_ss)
+        res = check_controllability(sup_ss, plant_ss)
         detail = "" if res.holds else res.counterexample.render(sup_ss, plant_ss)
         results["controllability"] = {"holds": res.holds, "detail": detail}
     if "nonblocking" in wanted:
@@ -222,7 +226,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args.budget)
     syn = analyze(spec, budget)
     sup, report = synthesize_from_space(spec, syn)
-    verification = verify_synthesis(spec, sup, budget, plant=syn.space)
+    verification = verify_synthesis(spec, sup, syn.space, budget)
     integrated = integrate_supervisor(spec, sup)
     out_text = print_spec(integrated)
     payload = {
@@ -274,6 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, BudgetError):
             return 2
         return 3 if isinstance(exc, SynthesisError) else 1
+    except (RecursionError, MemoryError) as exc:
+        what = ("recursion limit reached: the specification nests too deeply"
+                if isinstance(exc, RecursionError) else "out of memory")
+        print(f"error: {what}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

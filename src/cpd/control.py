@@ -16,7 +16,7 @@ from .parser import SystemSpec
 from .printer import requirement_to_str
 from .relations import RelationResult, partial_bisim
 from .semantics import Configuration, Engine, xi_rename
-from .statespace import DEFAULT_BUDGET, StateSpace, coreachable, explore
+from .statespace import StateSpace, coreachable
 from .terms import (
     Action,
     ActionSet,
@@ -170,18 +170,10 @@ def operational_root(spec: SystemSpec, unsupervised: bool = False) -> Configurat
     return renamed_plant(spec)
 
 
-def check_controllability(
-    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET,
-    supervised: StateSpace | None = None, plant: StateSpace | None = None,
-) -> RelationResult:
-    """The supervised composition must be partially bisimulated by the renamed
-    plant with the uncontrollable actions as bisimulation action set.
-    ``supervised`` and ``plant`` are the explored spaces of those two roots,
-    if the caller has them; a space not given is explored here."""
-    if supervised is None:
-        supervised = explore(supervised_plant(spec), spec.declarations, budget)
-    if plant is None:
-        plant = explore(renamed_plant(spec), spec.declarations, budget)
+def check_controllability(supervised: StateSpace, plant: StateSpace) -> RelationResult:
+    """The explored supervised composition must be partially bisimulated by
+    the explored renamed plant with the uncontrollable actions as
+    bisimulation action set."""
     return partial_bisim(supervised, plant, "uncontrollable")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from collections import deque
+from collections.abc import Iterable
 
 from .errors import BudgetError
 from .semantics import Configuration, Engine
@@ -52,10 +53,11 @@ class StateSpace:
         """Shortest action trail from the initial state, along the BFS tree."""
         return _trail(self.parents, state)
 
-    def predecessors(self) -> list[list[tuple[int, Action]]]:
-        pred: list[list[tuple[int, Action]]] = [[] for _ in self.states]
-        for src, action, dst in self.transitions:
-            pred[dst].append((src, action))
+    def predecessors(self) -> list[list[int]]:
+        """Source states of the transitions into each state."""
+        pred: list[list[int]] = [[] for _ in self.states]
+        for src, _, dst in self.transitions:
+            pred[dst].append(src)
         return pred
 
 
@@ -138,18 +140,23 @@ def explore(
     )
 
 
-def coreachable(ss: StateSpace) -> set[int]:
-    """States from which some marked state is reachable."""
-    pred = ss.predecessors()
-    out = set(ss.marked)
-    queue = deque(out)
-    while queue:
-        state = queue.popleft()
-        for src, _ in pred[state]:
+def backward_closure(pred: list[list[int]], seeds: Iterable[int]) -> set[int]:
+    """The seeds plus every state with a path into them, where ``pred[s]``
+    lists the states with an edge into s."""
+    out = set(seeds)
+    stack = list(out)
+    while stack:
+        state = stack.pop()
+        for src in pred[state]:
             if src not in out:
                 out.add(src)
-                queue.append(src)
+                stack.append(src)
     return out
+
+
+def coreachable(ss: StateSpace) -> set[int]:
+    """States from which some marked state is reachable."""
+    return backward_closure(ss.predecessors(), ss.marked)
 
 
 def _arity_label(action: Action) -> str:

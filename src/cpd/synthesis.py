@@ -29,7 +29,7 @@ from .control import (
     renamed_plant,
 )
 from .relations import RelationResult
-from .statespace import DEFAULT_BUDGET, StateSpace, explore
+from .statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from .terms import (
     And,
     BoolExpr,
@@ -76,12 +76,6 @@ class SynthesisSpace:
     # ctrl_targets[s]: targets of each enabled controllable channel of state s
     ctrl_targets: list[dict[Channel, list[int]]] = field(repr=False)
 
-    def good(self) -> set[int]:
-        return {s for s in range(len(self.space.states)) if s not in self.bad}
-
-    def controllable_targets(self, state: int) -> dict[Channel, list[int]]:
-        return self.ctrl_targets[state]
-
     def allowed(self, state: int, channel: Channel) -> bool:
         """Final per-state verdict for an enabled controllable channel."""
         if (state, channel) in self.forbidden:
@@ -125,14 +119,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
     iterations = 0
     while True:
         iterations += 1
-        # uncontrollable backward closure
-        queue = list(bad)
-        while queue:
-            state = queue.pop()
-            for src in unc_pred[state]:
-                if src not in bad:
-                    bad.add(src)
-                    queue.append(src)
+        bad = backward_closure(unc_pred, bad)
         # coreachability inside GOOD along the induced (supervised) edges
         pred: list[list[int]] = [[] for _ in range(n)]
         for src in range(n):
@@ -148,14 +135,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
                     if any(t in bad for t in ctrl_targets[src][channel]):
                         continue
                 pred[dst].append(src)
-        coreach = {s for s in ss.marked if s not in bad}
-        queue = list(coreach)
-        while queue:
-            state = queue.pop()
-            for src in pred[state]:
-                if src not in coreach:
-                    coreach.add(src)
-                    queue.append(src)
+        coreach = backward_closure(pred, (s for s in ss.marked if s not in bad))
         pruned = [s for s in range(n) if s not in bad and s not in coreach]
         if not pruned:
             break
@@ -491,17 +471,10 @@ def synthesize_from_space(
     return sup, report
 
 
-def synthesize_detailed(
-    spec: SystemSpec, budget: int | None = DEFAULT_BUDGET
-) -> tuple[SupervisorSpec, SynthesisReport]:
-    return synthesize_from_space(spec, analyze(spec, budget))
-
-
 def synthesize(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SupervisorSpec:
     """Most permissive guard assignment keeping the supervised plant safe,
     controllable, and nonblocking."""
-    sup, _ = synthesize_detailed(spec, budget)
-    return sup
+    return guards_from_space(spec, analyze(spec, budget))
 
 
 def emit_supervisor(sup: SupervisorSpec) -> ProcessTerm:
@@ -557,18 +530,18 @@ class VerificationReport:
 
 
 def verify_synthesis(
-    spec: SystemSpec, sup: SupervisorSpec, budget: int | None = DEFAULT_BUDGET,
-    plant: StateSpace | None = None,
+    spec: SystemSpec, sup: SupervisorSpec, plant: StateSpace,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Re-check the three closure obligations on the supervised plant built
     from the emitted supervisor, explored once for all three.  ``plant`` is
-    the explored renamed plant if the caller has it, e.g. ``analyze``'s
-    ``SynthesisSpace.space``: the integrated spec keeps the plant."""
+    the explored renamed plant, e.g. ``analyze``'s ``SynthesisSpace.space``:
+    the integrated spec keeps the plant."""
     integrated = integrate_supervisor(spec, sup)
     ss = explore(supervised_plant(integrated), spec.declarations, budget)
     return VerificationReport(
         requirements=satisfies_globally(ss, list(spec.requirements)),
-        controllability=check_controllability(integrated, budget, supervised=ss, plant=plant),
+        controllability=check_controllability(ss, plant),
         nonblocking=check_nonblocking(ss),
         supervised_states=len(ss.states),
     )

@@ -23,7 +23,13 @@ from cpd.ppf import instantiate_ppf
 from cpd.relations import bisimilar, partial_bisim
 from cpd.semantics import Engine
 from cpd.statespace import StateSpace, coreachable, explore
-from cpd.synthesis import analyze, integrate_supervisor, synthesize, verify_synthesis
+from cpd.synthesis import (
+    analyze,
+    guards_from_space,
+    integrate_supervisor,
+    synthesize,
+    verify_synthesis,
+)
 from cpd.terms import (
     DEADLOCK,
     EventImplies,
@@ -111,11 +117,16 @@ class TestSupervisedCell:
                 "Stb2Run" not in from_initial and "Stb2Run" in anywhere)
 
     def test_criterion_03_controllability(self):
+        def controllability(spec):
+            return check_controllability(
+                explore(supervised_plant(spec), spec.declarations),
+                explore(renamed_plant(spec), spec.declarations))
+
         spec = load("ppf_1_1")
-        transcribed = check_controllability(spec)
+        transcribed = controllability(spec)
         merged = integrate_supervisor(spec, synthesize(spec))
-        synthesized = check_controllability(merged)
-        broken = check_controllability(load("ppf_1_1_tampered"))
+        synthesized = controllability(merged)
+        broken = controllability(load("ppf_1_1_tampered"))
         trail_ok = (broken.counterexample is not None
                     and len(broken.counterexample.trail()) >= 1)
         _report(3, "controllability passes with transcribed and synthesized "
@@ -169,8 +180,9 @@ class TestVehicle:
 class TestScaling:
     def test_criterion_07_wider_cell(self):
         spec = instantiate_ppf(2, [2, 2])
-        sup = synthesize(spec)  # default state budget
-        ver = verify_synthesis(spec, sup)
+        syn = analyze(spec)  # default state budget
+        sup = guards_from_space(spec, syn)
+        ver = verify_synthesis(spec, sup, syn.space)
         _report(7, "PPF(2,[2,2]) synthesizes inside the default budget and "
                    f"verification passes all three checks "
                    f"({ver.supervised_states} supervised states)",
@@ -413,11 +425,11 @@ class TestSynthesisSoundness:
             spec = random_plant_spec(rng)
             try:
                 syn = analyze(spec)
-                sup = synthesize(spec)
+                sup = guards_from_space(spec, syn)
             except SynthesisError:
                 continue
             plants += 1
-            assert verify_synthesis(spec, sup).ok()
+            assert verify_synthesis(spec, sup, syn.space).ok()
 
             if len(syn.space) > 200:
                 continue
@@ -429,7 +441,7 @@ class TestSynthesisSoundness:
             assert graph_controllability_ok(syn.space, base_edges, reach)
 
             for state in sorted(reach):
-                for channel in syn.controllable_targets(state):
+                for channel in syn.ctrl_targets[state]:
                     if syn.allowed(state, channel):
                         continue
                     extra = frozenset({(state, channel)})

@@ -107,6 +107,12 @@ class TestExplore:
         monkeypatch.setenv("CPD_BUDGET", "2")
         assert main(["explore", agv, "--budget", "100"]) == 0
 
+    def test_non_integer_budget_environment(self, agv, capsys, monkeypatch):
+        monkeypatch.setenv("CPD_BUDGET", "abc")
+        assert main(["explore", agv]) == 1
+        assert capsys.readouterr().err == (
+            "error: CPD_BUDGET must be an integer, got 'abc'\n")
+
     def test_zero_budget_rejected(self, agv, capsys):
         assert main(["explore", agv, "--budget", "0"]) == 1
         assert "budget must be at least 1" in capsys.readouterr().err
@@ -134,6 +140,19 @@ class TestExplore:
         src = full.parents[10][0]
         assert 10 - (src + 1) == frontier
         assert len(full.trace_to(src)) == depth
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("command", ["parse", "explore"])
+    def test_long_prefix_chain_is_resource_exhaustion(self, command, tmp_path,
+                                                      capsys):
+        f = tmp_path / "deep.cpd"
+        f.write_text("uncontrollable u;\nprocess P = " + "u!." * 1200
+                     + "1;\nplant P;\n")
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: recursion limit reached: the specification nests too "
+            "deeply\n")
 
 
 class TestCheck:

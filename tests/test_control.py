@@ -165,30 +165,35 @@ class TestRoots:
         assert acts == {completed(self.sp.declarations.channel_map["a"])}
 
 
+def controllability(sp):
+    return check_controllability(explore(supervised_plant(sp), sp.declarations),
+                                 explore(renamed_plant(sp), sp.declarations))
+
+
 class TestControllability:
     def test_supervisor_restricting_controllables_is_fine(self):
         sp = small("controllable a;\nuncontrollable u;\n"
                    "process P = a?.u!.1;\n"
                    "process S = (true -> a!.1 + true -> 1)*;\n"
                    "plant P;\nsupervisor S;\nencap {incomplete(a, 2)};")
-        assert check_controllability(sp).holds
+        assert controllability(sp).holds
 
     def test_blocking_an_uncontrollable_action_is_not(self):
         sp = small("controllable a;\nuncontrollable u;\n"
                    "process P = a?.u!.1;\n"
                    "process S = (true -> a!.1 + true -> 1)*;\n"
                    "plant P;\nsupervisor S;\nencap {incomplete(a, 2), u!};")
-        r = check_controllability(sp)
-        assert not r.holds
         left = explore(supervised_plant(sp), sp.declarations)
         right = explore(renamed_plant(sp), sp.declarations)
+        r = check_controllability(left, right)
+        assert not r.holds
         text = r.counterexample.render(left, right)
         assert "right moves u! but the left has no matching move back" in text
         assert [a.format() for a in r.counterexample.trail()] == ["a!?", "u!"]
 
     def test_bundled_vehicle_model(self):
         sp = load("agv")
-        assert check_controllability(sp).holds
+        assert controllability(sp).holds
 
 
 class TestNonblocking:

@@ -2,6 +2,7 @@
 the spaces they already built, and agree with the re-exploring path kept
 in ``oracles``."""
 
+import inspect
 import random
 import sys
 
@@ -92,8 +93,7 @@ def check_verification_against_oracle(spec):
         SupervisorSpec({c: FALSE for c in channels}),
     ):
         old = verify_synthesis_oracle(spec, sup)
-        assert_same_verification(verify_synthesis(spec, sup, plant=syn.space), old)
-        assert_same_verification(verify_synthesis(spec, sup), old)
+        assert_same_verification(verify_synthesis(spec, sup, syn.space), old)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -112,11 +112,8 @@ def test_controllability_matches_oracle(name):
     old = check_controllability_oracle(spec)
     sup_ss = explore(supervised_plant(spec), spec.declarations)
     plant_ss = explore(renamed_plant(spec), spec.declarations)
-    new = check_controllability(spec, supervised=sup_ss, plant=plant_ss)
+    new = check_controllability(sup_ss, plant_ss)
     assert_same_relation(new, old)
-    assert_same_relation(check_controllability(spec), old)
-    assert_same_relation(check_controllability(spec, supervised=sup_ss), old)
-    assert_same_relation(check_controllability(spec, plant=plant_ss), old)
     if old.holds:
         return
     # the old path rendered from two freshly explored spaces
@@ -176,8 +173,8 @@ def explored_roots(monkeypatch):
         if getattr(module, "explore", None) is real:
             monkeypatch.setattr(module, "explore", counting)
             patched.add(name)
-    assert {"cpd.cli", "cpd.control", "cpd.synthesis",
-            "cpd.statespace"} <= patched
+    assert {"cpd.cli", "cpd.synthesis", "cpd.statespace"} <= patched
+    assert not hasattr(sys.modules["cpd.control"], "explore")
     return roots
 
 
@@ -195,3 +192,26 @@ def test_each_space_explored_once(argv, code, spaces, tmp_path, capsys,
     capsys.readouterr()
     assert len(explored_roots) == spaces
     assert len(set(explored_roots)) == spaces
+
+
+def test_library_route_explores_each_space_once(explored_roots):
+    """analyze, guards_from_space and verify_synthesis explore the renamed
+    and the supervised plant once each; check_controllability explores
+    nothing and takes both spaces, required."""
+    spec = load("ppf_1_1")
+    syn = analyze(spec)
+    sup = guards_from_space(spec, syn)
+    assert verify_synthesis(spec, sup, syn.space).ok()
+    assert len(explored_roots) == 2
+    assert len(set(explored_roots)) == 2
+
+    sup_ss = explore(supervised_plant(spec), spec.declarations)
+    plant_ss = explore(renamed_plant(spec), spec.declarations)
+    assert check_controllability(sup_ss, plant_ss).holds
+    assert len(explored_roots) == 2
+
+    params = inspect.signature(check_controllability).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("supervised", inspect.Parameter.empty), ("plant", inspect.Parameter.empty)]
+    plant = inspect.signature(verify_synthesis).parameters["plant"]
+    assert plant.default is inspect.Parameter.empty

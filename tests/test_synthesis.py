@@ -15,10 +15,11 @@ from cpd.synthesis import (
     SupervisorSpec,
     analyze,
     emit_supervisor,
+    guards_from_space,
     integrate_supervisor,
     minimize_guard,
     synthesize,
-    synthesize_detailed,
+    synthesize_from_space,
     verify_synthesis,
 )
 from cpd.terms import (
@@ -126,7 +127,7 @@ class TestAnalyze:
         assert syn.bad == frozenset()
         assert sorted((s, c.name) for s, c in syn.forbidden) == [
             (0, "gotoA"), (3, "gotoB")]
-        assert syn.good() == set(range(6))
+        assert {s for s in range(len(syn.space)) if s not in syn.bad} == set(range(6))
         assert syn.iterations == 1
 
     def test_allowed_tracks_forbidden_pairs(self):
@@ -141,7 +142,7 @@ class TestAnalyze:
     def test_controllable_targets_lists_enabled_channels(self):
         sp = load("agv")
         syn = analyze(sp)
-        targets = syn.controllable_targets(0)
+        targets = syn.ctrl_targets[0]
         assert sorted(c.name for c in targets) == ["gotoA", "gotoB"]
         for dsts in targets.values():
             assert all(0 <= d < len(syn.space) for d in dsts)
@@ -175,9 +176,10 @@ class TestErrors:
             "controllable a;\nuncontrollable u;\nvar x : 1..3 = 1;\n"
             "process P = (a?.u![x := 3].1 + a?[x := 2].1)*;\nplant P;\n"
             "requirement not (x = 3);\n", "t.cpd")
-        sup = synthesize(sp)
+        syn = analyze(sp)
+        sup = guards_from_space(sp, syn)
         # the branch through u can never be opened
-        ver = verify_synthesis(sp, sup)
+        ver = verify_synthesis(sp, sup, syn.space)
         assert ver.ok()
 
 
@@ -226,10 +228,12 @@ class TestEmission:
 class TestGuardsMatchStates:
     def agreement(self, spec):
         syn = analyze(spec)
-        sup = synthesize(spec)
-        for state in syn.good():
+        sup = guards_from_space(spec, syn)
+        for state in range(len(syn.space)):
+            if state in syn.bad:
+                continue
             alpha = syn.space.states[state].env.alpha
-            for channel in syn.controllable_targets(state):
+            for channel in syn.ctrl_targets[state]:
                 want = syn.allowed(state, channel)
                 assert eval_bool(alpha, sup.guards[channel]) == want
 
@@ -277,7 +281,8 @@ class TestIdempotence:
 class TestVerification:
     def test_vehicle_report(self):
         sp = load("agv")
-        sup, rep = synthesize_detailed(sp)
+        syn = analyze(sp)
+        sup, rep = synthesize_from_space(sp, syn)
         assert rep.to_dict() == {
             "guards": {"gotoA": "L = B", "gotoB": "L = A"},
             "termination_guard": "true",
@@ -289,7 +294,7 @@ class TestVerification:
         lines = rep.render().splitlines()
         assert lines[0] == "explored 6 states; 0 unsafe, 2 forbidden pairs, 1 fixpoint rounds"
         assert "  gotoA: L = B" in lines
-        ver = verify_synthesis(sp, sup)
+        ver = verify_synthesis(sp, sup, syn.space)
         assert ver.ok()
         assert ver.verdicts() == {"requirements": True, "controllability": True,
                                   "nonblocking": True}
@@ -301,8 +306,9 @@ class TestVerification:
         while done < 12:
             spec = random_plant_spec(rng)
             try:
-                sup = synthesize(spec)
+                syn = analyze(spec)
             except SynthesisError:
                 continue
             done += 1
-            assert verify_synthesis(spec, sup).ok()
+            sup = guards_from_space(spec, syn)
+            assert verify_synthesis(spec, sup, syn.space).ok()
