@@ -110,7 +110,7 @@ from .terms import (
     VarRef,
     VariableDecl,
     alt,
-    canonical,
+    canonical_id,
     classify_plant,
     classify_supervisor,
     completed,

@@ -27,8 +27,10 @@ BisimActions = Callable[[Action], bool] | frozenset | set | str
 
 
 def action_predicate(bisim_actions: BisimActions) -> Callable[[Action], bool]:
-    """Normalize an action-set argument: a predicate, a set of actions, or one
-    of the shorthands 'all', 'none', 'uncontrollable'."""
+    """Normalize an action-set argument: a predicate, a collection of
+    actions, or one of the shorthands 'all', 'none', 'uncontrollable'.  A
+    collection member that is not an ``Action``, such as a channel name,
+    raises ``ValueError``."""
     if callable(bisim_actions):
         return bisim_actions
     if isinstance(bisim_actions, str):
@@ -41,7 +43,11 @@ def action_predicate(bisim_actions: BisimActions) -> Callable[[Action], bool]:
         raise ValueError(
             f"unknown action set {bisim_actions!r} (expected all, none, or uncontrollable)"
         )
-    actions = frozenset(bisim_actions)
+    members = tuple(bisim_actions)
+    for member in members:
+        if not isinstance(member, Action):
+            raise ValueError(f"action set member {member!r} is not an action")
+    actions = frozenset(members)
     return lambda a: a in actions
 
 

@@ -2,13 +2,14 @@
 
 A state's identity is the pair (canonical id of its term, tuple of variable
 values).  The canonical id comes from the process-wide hash-consing table in
-``terms``: every canonical node is interned under its type, its non-term
-fields and its children's ids, so equal ids mean equal canonical forms.  The
-id of a term is cached on the term, and a successor shares all but its new
-spine with its source, so keying a successor costs a few table lookups
-rather than a walk and a deep hash of the whole term.  The table lives as
-long as the process, one CLI call.  The stored states keep the raw terms the
-steps produced, so printed terms and numbering do not depend on the ids.
+``terms``, which maps a canonical node's type, non-term fields and children's
+ids to an integer and builds no canonical term: equal ids mean equal
+canonical forms.  The id of a term is cached on the term, and a successor
+shares all but its new spine with its source, so keying a successor costs a
+few table lookups rather than a walk and a deep hash of the whole term.  The
+table lives as long as the process, one CLI call.  The stored states keep
+the raw terms the steps produced, so printed terms and numbering do not
+depend on the ids.
 
 The written set only mediates synchronization inside a single step and is
 excluded from identity by default (``rho_in_identity`` retains it).

@@ -6,7 +6,9 @@ the BAD set, exclusion requirements forbid (state, controllable channel)
 pairs, and the fixpoint alternates uncontrollable backward closure with
 coreachability pruning inside the remaining GOOD states.  Guards are then
 read off per controllable channel as functions of the valuation and
-minimized exactly against the off-set, with everything else a don't-care.
+minimized against the off-set, with everything else a don't-care.  The
+minimization is exact up to ``_CUBE_LIMIT`` candidate cubes; above it the
+guard is a sound cover that need not be the smallest.
 """
 
 from __future__ import annotations
@@ -153,9 +155,11 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
 # guard minimization over multi-valued variables
 #
 # A cube constrains each variable to a non-empty subset of its domain; its
-# cost is the number of constrained variables (literals).  Minimization is
+# cost is the number of constrained variables (literals).  The cover is
 # exact: fewest cubes first, fewest literals second, lexicographic cube order
 # third, with the off-set as the only obstacle and everything else don't-care.
+# Its candidates are all prime cubes only up to _CUBE_LIMIT cubes; above it
+# they are one grown cube per on-point, so the guard may not be minimal.
 
 _CUBE_LIMIT = 300_000
 
@@ -192,8 +196,11 @@ def _subsets(domain_values: list[int]) -> list[tuple[int, ...]]:
 def minimize_guard(
     declarations: Declarations, on: set[Valuation], off: set[Valuation]
 ) -> BoolExpr:
-    """Smallest sum-of-cubes formula that is true on ``on`` and false on
-    ``off``; all other valuations are free."""
+    """Sum-of-cubes formula that is true on ``on`` and false on ``off``; all
+    other valuations are free.  It is the smallest such formula (fewest
+    cubes, then fewest literals) when the kept variables span at most
+    ``_CUBE_LIMIT`` cubes.  Above that the cover is picked from one grown
+    cube per on-point and can have more cubes than needed."""
     if not on:
         return FALSE
     on_pts = {v.values_tuple for v in on}

@@ -83,9 +83,6 @@ def completed(channel: Channel, receivers: int = 1) -> Action:
 class IntLit:
     value: int
 
-    def key(self) -> tuple:
-        return (0, self.value)
-
 
 @dataclass(frozen=True)
 class EnumConst:
@@ -94,16 +91,10 @@ class EnumConst:
     name: str
     value: int
 
-    def key(self) -> tuple:
-        return (1, self.name, self.value)
-
 
 @dataclass(frozen=True)
 class VarRef:
     name: str
-
-    def key(self) -> tuple:
-        return (2, self.name)
 
 
 @dataclass(frozen=True)
@@ -111,9 +102,6 @@ class BinOp:
     op: str  # one of + - *
     left: "DataExpr"
     right: "DataExpr"
-
-    def key(self) -> tuple:
-        return (3, self.op, self.left.key(), self.right.key())
 
 
 DataExpr = Union[IntLit, EnumConst, VarRef, BinOp]
@@ -158,9 +146,6 @@ def expr_variables(e: DataExpr) -> frozenset[str]:
 class BoolLit:
     value: bool
 
-    def key(self) -> tuple:
-        return (0, self.value)
-
 
 @dataclass(frozen=True)
 class Cmp:
@@ -168,16 +153,10 @@ class Cmp:
     left: DataExpr
     right: DataExpr
 
-    def key(self) -> tuple:
-        return (1, self.op, self.left.key(), self.right.key())
-
 
 @dataclass(frozen=True)
 class Not:
     body: "BoolExpr"
-
-    def key(self) -> tuple:
-        return (2, self.body.key())
 
 
 @dataclass(frozen=True)
@@ -185,26 +164,17 @@ class And:
     left: "BoolExpr"
     right: "BoolExpr"
 
-    def key(self) -> tuple:
-        return (3, self.left.key(), self.right.key())
-
 
 @dataclass(frozen=True)
 class Or:
     left: "BoolExpr"
     right: "BoolExpr"
 
-    def key(self) -> tuple:
-        return (4, self.left.key(), self.right.key())
-
 
 @dataclass(frozen=True)
 class Imp:
     left: "BoolExpr"
     right: "BoolExpr"
-
-    def key(self) -> tuple:
-        return (5, self.left.key(), self.right.key())
 
 
 BoolExpr = Union[BoolLit, Cmp, Not, And, Or, Imp]
@@ -267,9 +237,6 @@ class UpdateMap:
     def domain(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.entries)
 
-    def key(self) -> tuple:
-        return tuple((name, expr.key()) for name, expr in self.entries)
-
 
 EMPTY_UPDATE = UpdateMap()
 
@@ -303,27 +270,18 @@ class ActionSet:
                 return True
         return False
 
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(a.sort_key() for a in self.actions)),
-            tuple(sorted((c.name, k) for c, k in self.incomplete)),
-            tuple(sorted((c.name, k) for c, k in self.completed_incomplete)),
-        )
-
 
 # ---------------------------------------------------------------------------
 # process terms
 
 @dataclass(frozen=True)
 class Deadlock:
-    def key(self) -> tuple:
-        return (0,)
+    """0: no step and no termination."""
 
 
 @dataclass(frozen=True)
 class Termination:
-    def key(self) -> tuple:
-        return (1,)
+    """1: successful termination, no step."""
 
 
 @dataclass(frozen=True)
@@ -332,17 +290,11 @@ class Prefix:
     update: UpdateMap
     cont: "ProcessTerm"
 
-    def key(self) -> tuple:
-        return (2, self.action.sort_key(), self.update.key(), self.cont.key())
-
 
 @dataclass(frozen=True)
 class Guard:
     condition: BoolExpr
     body: "ProcessTerm"
-
-    def key(self) -> tuple:
-        return (3, self.condition.key(), self.body.key())
 
 
 @dataclass(frozen=True)
@@ -350,17 +302,11 @@ class Encap:
     blocked: ActionSet
     body: "ProcessTerm"
 
-    def key(self) -> tuple:
-        return (4, self.blocked.key(), self.body.key())
-
 
 @dataclass(frozen=True)
 class Alt:
     left: "ProcessTerm"
     right: "ProcessTerm"
-
-    def key(self) -> tuple:
-        return (5, self.left.key(), self.right.key())
 
 
 @dataclass(frozen=True)
@@ -368,25 +314,16 @@ class Seq:
     left: "ProcessTerm"
     right: "ProcessTerm"
 
-    def key(self) -> tuple:
-        return (6, self.left.key(), self.right.key())
-
 
 @dataclass(frozen=True)
 class Star:
     body: "ProcessTerm"
-
-    def key(self) -> tuple:
-        return (7, self.body.key())
 
 
 @dataclass(frozen=True)
 class Par:
     left: "ProcessTerm"
     right: "ProcessTerm"
-
-    def key(self) -> tuple:
-        return (8, self.left.key(), self.right.key())
 
 
 ProcessTerm = Union[Deadlock, Termination, Prefix, Guard, Encap, Alt, Seq, Star, Par]
@@ -418,49 +355,45 @@ def prefix(action: Action, cont: ProcessTerm, update: UpdateMap = EMPTY_UPDATE) 
 # ---------------------------------------------------------------------------
 # canonical form for state identity
 #
-# Canonical forms are hash-consed (Filliâtre & Conchon, "Type-safe modular
-# hash-consing", ML Workshop 2006).  One table per process gives every
-# canonical node an integer id, keyed by the node's type, its non-term fields
-# (action, update, condition, blocked set) and the ids of its canonical
-# children.  Two canonical forms are therefore equal exactly when their ids
-# are, and a state key built on an id hashes in constant time instead of
-# walking the term.  The table only grows and lives as long as the process;
-# each CLI call is one process.  It is not locked, so canonicalize from one
-# thread at a time.
+# A state's term is identified up to the structural laws of + and . : nested
+# Alt and Seq are flattened associatively, Alt summands are deduplicated, and
+# 1.p collapses to p.  The canonical form exists only as an integer id,
+# hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing", ML
+# Workshop 2006): one table per process maps the key of a canonical node, its
+# type, its non-term fields (action, update, condition, blocked set) and the
+# ids of its canonical children, to an id.  Two terms have equal canonical
+# forms exactly when their ids are equal, and a state key built on an id
+# hashes in constant time instead of walking the term.
+#
+# An Alt is one entry keyed by the sorted set of its summand ids, not a chain
+# of binary nodes: a summand whose own canonical form is an Alt then stays one
+# summand whatever the ids' order.  In a chain folded in id order it would
+# merge with the flat summands whenever its id sorted first, and identity
+# would depend on which terms the process interned earlier.  Ids themselves
+# depend on that order, so they mean nothing across processes.  The table
+# only grows and lives as long as the process; each CLI call is one process.
+# It is not locked, so canonicalize from one thread at a time.
 #
 # The id of a term's canonical form is cached on the term itself, in the
 # instance attribute ``_cid``, which equality, hashing and repr ignore.  A
 # successor built by a step shares everything but its spine with its source,
 # so only the new spine nodes are normalized.  The cache dies with its term:
 # a memo in a dict keyed by the term would keep every throwaway successor of
-# an exploration alive.  Alt summands are sorted by ``key()``, a deep tuple;
-# it is computed only for nodes that are sorted as summands, once per id.
+# an exploration alive.
 
 _ids: dict[tuple, int] = {}
-_nodes: list[ProcessTerm] = []
-_summand_keys: dict[int, tuple] = {}
 
 
-def _intern(cls: type, fields: tuple, children: tuple[int, ...]) -> int:
-    key = (cls, *fields, *children)
-    cid = _ids.get(key)
-    if cid is None:
-        cid = len(_nodes)
-        _nodes.append(cls(*fields, *[_nodes[c] for c in children]))
-        _ids[key] = cid
-    return cid
+def _intern(key: tuple) -> int:
+    return _ids.setdefault(key, len(_ids))
 
 
-def _summand_key(cid: int) -> tuple:
-    key = _summand_keys.get(cid)
-    if key is None:
-        key = _summand_keys[cid] = _nodes[cid].key()
-    return key
+_TERMINATION_ID = _intern((Termination,))
 
 
 def canonical_id(t: ProcessTerm) -> int:
-    """Interned id of ``canonical(t)``: equal exactly for equal canonical
-    forms within one process."""
+    """Interned id of the canonical form of ``t``: equal exactly for terms
+    with equal canonical forms within one process."""
     cid = t.__dict__.get("_cid")
     if cid is None:
         cid = _normalize(t)
@@ -468,28 +401,22 @@ def canonical_id(t: ProcessTerm) -> int:
     return cid
 
 
-def canonical(t: ProcessTerm) -> ProcessTerm:
-    """Normalize for state identity: flatten nested Alt/Seq associatively,
-    sort and deduplicate Alt summands, collapse 1.p to p."""
-    return _nodes[canonical_id(t)]
-
-
 def _normalize(t: ProcessTerm) -> int:
     # the spine types a step rebuilds come first
     if isinstance(t, Par):
-        return _intern(Par, (), (canonical_id(t.left), canonical_id(t.right)))
+        return _intern((Par, canonical_id(t.left), canonical_id(t.right)))
     if isinstance(t, Encap):
-        return _intern(Encap, (t.blocked,), (canonical_id(t.body),))
+        return _intern((Encap, t.blocked, canonical_id(t.body)))
     if isinstance(t, Prefix):
-        return _intern(Prefix, (t.action, t.update), (canonical_id(t.cont),))
+        return _intern((Prefix, t.action, t.update, canonical_id(t.cont)))
     if isinstance(t, Guard):
-        return _intern(Guard, (t.condition,), (canonical_id(t.body),))
+        return _intern((Guard, t.condition, canonical_id(t.body)))
     if isinstance(t, Star):
-        return _intern(Star, (), (canonical_id(t.body),))
+        return _intern((Star, canonical_id(t.body)))
     if isinstance(t, (Deadlock, Termination)):
-        return _intern(type(t), (), ())
+        return _intern((type(t),))
     if isinstance(t, Alt):
-        summands: list[int] = []
+        summands: set[int] = set()
         stack = [t.right, t.left]
         while stack:
             s = stack.pop()
@@ -497,15 +424,10 @@ def _normalize(t: ProcessTerm) -> int:
                 stack.append(s.right)
                 stack.append(s.left)
             else:
-                summands.append(canonical_id(s))
-        unique: dict[tuple, int] = {}
-        for cid in summands:
-            unique.setdefault(_summand_key(cid), cid)
-        ordered = [unique[k] for k in sorted(unique)]
-        out = ordered[0]
-        for cid in ordered[1:]:
-            out = _intern(Alt, (), (out, cid))
-        return out
+                summands.add(canonical_id(s))
+        if len(summands) == 1:
+            return summands.pop()
+        return _intern((Alt, *sorted(summands)))
     if isinstance(t, Seq):
         parts: list[int] = []
         stack = [t.right, t.left]
@@ -516,13 +438,13 @@ def _normalize(t: ProcessTerm) -> int:
                 stack.append(s.left)
             else:
                 cid = canonical_id(s)
-                if not isinstance(_nodes[cid], Termination):
+                if cid != _TERMINATION_ID:
                     parts.append(cid)
         if not parts:
-            return _intern(Termination, (), ())
+            return _TERMINATION_ID
         out = parts[-1]
         for cid in reversed(parts[:-1]):
-            out = _intern(Seq, (), (cid, out))
+            out = _intern((Seq, cid, out))
         return out
     raise TypeError(f"not a process term: {t!r}")
 
@@ -814,9 +736,6 @@ class Declarations:
 
         for values in rec(0, []):
             yield Valuation(self._names, self._index, values)
-
-    def uncontrollable(self, action: Action) -> bool:
-        return not action.channel.controllable
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Declarations):

@@ -7,6 +7,8 @@ fine; these run on tiny inputs.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from collections import deque
 
@@ -203,10 +205,36 @@ def all_cube_formulas(domains):
     return itertools.product(*subsets)
 
 
+def _compare(x, y) -> int:
+    """A total order on terms, for sorting summands: the class name, then the
+    fields in declaration order, with sets compared sorted.  Independent of
+    the ids the package orders summands by."""
+    if type(x) is not type(y):
+        a, b = type(x).__name__, type(y).__name__
+        return (a > b) - (a < b)
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+        y = [getattr(y, f.name) for f in dataclasses.fields(y)]
+    elif isinstance(x, frozenset):
+        x, y = sorted(x, key=_ORDER), sorted(y, key=_ORDER)
+    elif not isinstance(x, tuple):
+        return (x > y) - (x < y)
+    for a, b in zip(x, y):
+        c = _compare(a, b)
+        if c:
+            return c
+    return (len(x) > len(y)) - (len(x) < len(y))
+
+
+_ORDER = functools.cmp_to_key(_compare)
+
+
 def canonical_oracle(t):
     """Recursive normalization without sharing: flatten nested Alt/Seq
-    associatively, sort and deduplicate Alt summands by ``key()``, collapse
-    1.p to p.  Rebuilds the whole term on every call."""
+    associatively, deduplicate Alt summands and sort them by ``_compare``,
+    collapse 1.p to p.  A summand whose own form is an Alt stays one summand:
+    it is written X.1, so the fold of the summands cannot absorb it.  Rebuilds
+    the whole term on every call."""
     if isinstance(t, (Deadlock, Termination)):
         return t
     if isinstance(t, Prefix):
@@ -229,11 +257,11 @@ def canonical_oracle(t):
                 stack.append(s.left)
             else:
                 summands.append(canonical_oracle(s))
-        unique = {}
-        for s in summands:
-            unique.setdefault(s.key(), s)
-        ordered = [unique[k] for k in sorted(unique)]
-        return alt(*ordered)
+        unique = set(summands)
+        if len(unique) == 1:
+            return unique.pop()
+        marked = [Seq(c, TERMINATION) if isinstance(c, Alt) else c for c in unique]
+        return alt(*sorted(marked, key=_ORDER))
     if isinstance(t, Seq):
         parts = []
         stack = [t.right, t.left]

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from cpd.control import renamed_plant, supervised_plant
+from cpd.models import load
 from cpd.relations import action_predicate, bisimilar, partial_bisim, simulated_by
 from cpd.semantics import Engine
 from cpd.statespace import explore
@@ -91,6 +93,19 @@ class TestActionPredicate:
     def test_unknown_string_rejected(self):
         with pytest.raises(ValueError):
             action_predicate("some")
+
+    def test_channel_names_rejected(self):
+        # on the tampered cell a set of channel names used to match no
+        # action and pass where "uncontrollable" fails
+        spec = load("ppf_1_1_tampered")
+        sup_ss = explore(supervised_plant(spec), spec.declarations)
+        plant_ss = explore(renamed_plant(spec), spec.declarations)
+        assert not partial_bisim(sup_ss, plant_ss, "uncontrollable").holds
+        names = sorted(c.name for c in spec.declarations.channels if not c.controllable)
+        with pytest.raises(ValueError, match=repr(names[0])):
+            partial_bisim(sup_ss, plant_ss, names)
+        actions = {a for _, a, _ in plant_ss.transitions if not a.controllable}
+        assert not partial_bisim(sup_ss, plant_ss, actions).holds
 
 
 class TestWitness:

@@ -1,5 +1,6 @@
 """Guard synthesis: fixpoint analysis, minimization, emission, verification."""
 
+import itertools
 import random
 
 import pytest
@@ -23,10 +24,13 @@ from cpd.synthesis import (
     verify_synthesis,
 )
 from cpd.terms import (
+    And,
+    Cmp,
     Declarations,
     EnumDomain,
     FALSE,
     IntRange,
+    Or,
     TRUE,
     VariableDecl,
     classify_supervisor,
@@ -34,6 +38,7 @@ from cpd.terms import (
 )
 
 from gen import random_plant_spec
+from oracles import all_cube_formulas
 
 
 def table(decls):
@@ -117,6 +122,76 @@ class TestMinimizeGuard:
                     assert eval_bool(v, g)
                 elif v in off:
                     assert not eval_bool(v, g)
+
+    def test_exactly_minimal_against_exhaustive_search(self):
+        # on domains of at most 3 values every literal is one comparison, so
+        # the formula's disjuncts are its cubes and its comparisons its literals
+        rng = random.Random(137)
+        for _ in range(300):
+            sizes = [rng.choice((2, 3)) for _ in range(rng.randint(1, 3))]
+            decls = Declarations(
+                variables=tuple(VariableDecl(f"v{i}", IntRange(1, n), 1)
+                                for i, n in enumerate(sizes)),
+                channels=())
+            on, off = set(), set()
+            for v in decls.all_valuations():
+                [on, off, set()][rng.randrange(3)].add(v)
+            g = minimize_guard(decls, on, off)
+            assert all(eval_bool(v, g) for v in on)
+            assert not any(eval_bool(v, g) for v in off)
+            assert formula_cost(g) == exhaustive_min_cost(decls, on, off)
+
+
+def formula_cost(g):
+    """(cubes, literals) of a rendered sum of cubes."""
+    if g == FALSE:
+        return (0, 0)
+    disjuncts, literals, stack = 0, 0, [g]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Or):
+            stack += (e.left, e.right)
+            continue
+        disjuncts += 1
+        conj = [e]
+        while conj:
+            c = conj.pop()
+            if isinstance(c, And):
+                conj += (c.left, c.right)
+            elif isinstance(c, Cmp):
+                literals += 1
+    return (disjuncts, literals)
+
+
+def exhaustive_min_cost(decls, on, off):
+    """Fewest cubes, then fewest literals, over every cover of ``on`` by
+    cubes that miss ``off``: the cheapest union of k cubes for k = 1, 2, ..."""
+    if not on:
+        return (0, 0)
+    domains = [tuple(v.domain.values()) for v in decls.variables]
+    bit = {v.values_tuple: 1 << i for i, v in enumerate(on)}
+    off_pts = {v.values_tuple for v in off}
+    # cubes covering the same on-points are interchangeable: keep the cheapest
+    cheapest = {}
+    for cube in all_cube_formulas(domains):
+        points = set(itertools.product(*cube))
+        covered = sum(bit.get(p, 0) for p in points)
+        if covered and not points & off_pts:
+            literals = sum(len(sub) < len(d) for sub, d in zip(cube, domains))
+            cheapest[covered] = min(literals, cheapest.get(covered, literals))
+    full = (1 << len(on)) - 1
+    unions = {0: 0}  # on-points covered by k cubes -> fewest literals
+    for k in range(1, len(on) + 1):
+        grown = {}
+        for covered, cost in unions.items():
+            for mask, literals in cheapest.items():
+                u, c = covered | mask, cost + literals
+                if c < grown.get(u, c + 1):
+                    grown[u] = c
+        if full in grown:
+            return (k, grown[full])
+        unions = grown
+    raise AssertionError("on-set not coverable")
 
 
 class TestAnalyze:
