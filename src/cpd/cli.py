@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 pass, 1 failed check or diagnostics,
 2 resource exhaustion (state budget, recursion depth, memory), 3 empty
-synthesis.
+synthesis.  Process terms are walked without recursion; what can still reach
+the recursion limit is deeply nested parentheses or data or boolean
+expressions, and a wide ``||``, whose steps rebuild and re-key its spine.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import BudgetError, CpdError, SpecError, SynthesisError
 from .parser import parse, print_spec
 from .ppf import ppf_text
 from .relations import partial_bisim
-from .statespace import DEFAULT_BUDGET, explore, export
+from .statespace import DEFAULT_BUDGET, StateSpace, explore, export
 from .synthesis import analyze, integrate_supervisor, synthesize_from_space, verify_synthesis
 
 
@@ -85,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("file")
 
-    p = sub.add_parser("ppf", help="generate a production-frame model file")
+    p = sub.add_parser("ppf", help="generate a model of the paper's printer "
+                       "maintenance case (PPF family)")
     common(p, budget=False)
     p.add_argument("--counters", type=int, required=True)
     p.add_argument("--ops", required=True,
@@ -173,32 +176,32 @@ def _check_results(args: argparse.Namespace, spec) -> dict[str, dict]:
         wanted.remove("controllability")
         print("note: no supervisor declared, skipping controllability",
               file=sys.stderr)
-    # operational_root is the renamed plant when on_plant, else the supervised plant
-    on_plant = spec.supervisor_name is None or args.unsupervised
-    bare_nonblocking = (args.no_encap_nonblocking
-                        and spec.supervisor_name is not None)
-    ss = None
-    if "requirements" in wanted or ("nonblocking" in wanted
-                                    and not bare_nonblocking):
-        ss = explore(operational_root(spec, args.unsupervised),
-                     spec.declarations, budget)
+    # explored spaces by root kind: "supervised", "renamed" or "bare"
+    spaces: dict[str, StateSpace] = {}
+
+    def space(kind: str) -> StateSpace:
+        if kind not in spaces:
+            root = (renamed_plant(spec) if kind == "renamed" else
+                    supervised_plant(spec, encapsulated=kind == "supervised"))
+            spaces[kind] = explore(root, spec.declarations, budget)
+        return spaces[kind]
+
+    # the kind operational_root picks
+    operational = ("renamed" if spec.supervisor_name is None or args.unsupervised
+                   else "supervised")
     if "requirements" in wanted:
+        ss = space(operational)
         sat = satisfies_globally(ss, list(spec.requirements))
         results["requirements"] = {"holds": sat.holds,
                                    "detail": "" if sat.holds else sat.render(ss)}
     if "controllability" in wanted:
-        sup_ss = ss if ss is not None and not on_plant else explore(
-            supervised_plant(spec), spec.declarations, budget)
-        plant_ss = ss if ss is not None and on_plant else explore(
-            renamed_plant(spec), spec.declarations, budget)
+        sup_ss, plant_ss = space("supervised"), space("renamed")
         res = check_controllability(sup_ss, plant_ss)
         detail = "" if res.holds else res.counterexample.render(sup_ss, plant_ss)
         results["controllability"] = {"holds": res.holds, "detail": detail}
     if "nonblocking" in wanted:
-        target = ss
-        if bare_nonblocking:
-            bare = supervised_plant(spec, encapsulated=False)
-            target = explore(bare, spec.declarations, budget)
+        bare = args.no_encap_nonblocking and spec.supervisor_name is not None
+        target = space("bare" if bare else operational)
         nb = check_nonblocking(target)
         results["nonblocking"] = {"holds": nb.holds,
                                   "detail": "" if nb.holds else nb.render(target)}

@@ -20,22 +20,19 @@ from .statespace import StateSpace, coreachable
 from .terms import (
     Action,
     ActionSet,
-    Alt,
     Channel,
     Declarations,
     Encap,
     EventImplies,
-    Guard,
     Invariant,
     Par,
     Prefix,
     ProcessTerm,
     Requirement,
-    Seq,
-    Star,
     StateExcludesEvent,
     Valuation,
     eval_bool,
+    subterms,
 )
 
 
@@ -112,20 +109,9 @@ def default_encapsulation(spec: SystemSpec) -> ActionSet:
     """Blocked set closing every controllable channel of the plant: all
     partial synchronizations below sender plus the plant's receive arity."""
     arities: dict[Channel, set[int]] = {}
-
-    def walk(t: ProcessTerm) -> None:
-        if isinstance(t, Prefix):
-            a = t.action
-            if a.channel.controllable:
-                arities.setdefault(a.channel, set()).add(a.receivers)
-            walk(t.cont)
-        elif isinstance(t, (Guard, Encap, Star)):
-            walk(t.body)
-        elif isinstance(t, (Alt, Seq, Par)):
-            walk(t.left)
-            walk(t.right)
-
-    walk(spec.plant)
+    for t in subterms(spec.plant):
+        if isinstance(t, Prefix) and t.action.channel.controllable:
+            arities.setdefault(t.action.channel, set()).add(t.action.receivers)
     incomplete: set[tuple[Channel, int]] = set()
     for channel in spec.declarations.channels:
         if not channel.controllable:

@@ -1,9 +1,10 @@
-"""Generator for the production cell family of plants.
+"""Generator for the PPF family of plants, modelled on the paper's case
+study: the maintenance procedures of the printing process of an Océ printer.
 
-A cell has one central process machine, a throughput regulator, and per
+A model has one central process machine, a throughput regulator, and per
 counter a scheduler, a deadline watchdog, and one machine operation per
-op slot.  Counter i owns ops_per_counter[i-1] operations.  The single-cell
-single-op instance drops all index suffixes.
+op slot.  Counter i owns ops_per_counter[i-1] operations.  The
+single-counter single-op instance drops all index suffixes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .parser import SystemSpec, parse
 
 
 def ppf_text(counters: int, ops_per_counter: Sequence[int]) -> str:
-    """Source text of the production cell with the given shape."""
+    """Source text of the PPF model with the given shape."""
     if counters < 1:
         raise ValueError("counters must be at least 1")
     if len(ops_per_counter) != counters:
@@ -103,6 +104,6 @@ def ppf_text(counters: int, ops_per_counter: Sequence[int]) -> str:
 
 
 def instantiate_ppf(counters: int, ops_per_counter: Sequence[int]) -> SystemSpec:
-    """Build and parse the production cell with the given shape."""
+    """Build and parse the PPF model with the given shape."""
     name = f"ppf_{counters}_{'_'.join(str(k) for k in ops_per_counter)}.cpd"
     return parse(ppf_text(counters, ops_per_counter), name)

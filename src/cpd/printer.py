@@ -30,7 +30,6 @@ from .terms import (
     Invariant,
     Not,
     Or,
-    Par,
     Prefix,
     ProcessTerm,
     Requirement,
@@ -40,6 +39,7 @@ from .terms import (
     Termination,
     UpdateMap,
     VarRef,
+    fold,
 )
 
 # data expression levels
@@ -115,36 +115,38 @@ _SEQ = 3
 _TATOM = 4
 
 
-def term_to_str(t: ProcessTerm, level: int = _PAR) -> str:
+def _wrap(kid: tuple[str, int], level: int) -> str:
+    text, own = kid
+    return f"({text})" if own < level else text
+
+
+def _term_node(t: ProcessTerm, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``t`` and its binding strength, from its children's."""
     if isinstance(t, Deadlock):
-        return "0"
+        return "0", _TATOM
     if isinstance(t, Termination):
-        return "1"
+        return "1", _TATOM
     if isinstance(t, Prefix):
         head = t.action.format()
         if len(t.update):
             head += update_to_str(t.update)
-        text = f"{head}.{term_to_str(t.cont, _SEQ)}"
-        return f"({text})" if _SEQ < level else text
+        return f"{head}.{_wrap(kids[0], _SEQ)}", _SEQ
     if isinstance(t, Guard):
-        text = f"{bool_to_str(t.condition)} -> {term_to_str(t.body, _GUARD)}"
-        return f"({text})" if _GUARD < level else text
+        return f"{bool_to_str(t.condition)} -> {_wrap(kids[0], _GUARD)}", _GUARD
     if isinstance(t, Encap):
-        return f"encap {actionset_to_str(t.blocked)} ({term_to_str(t.body)})"
+        return f"encap {actionset_to_str(t.blocked)} ({kids[0][0]})", _TATOM
     if isinstance(t, Alt):
-        text = f"{term_to_str(t.left, _ALT)} + {term_to_str(t.right, _ALT + 1)}"
-        return f"({text})" if _ALT < level else text
+        return f"{_wrap(kids[0], _ALT)} + {_wrap(kids[1], _ALT + 1)}", _ALT
     if isinstance(t, Seq):
         # right associative: keep the left operand atomic
-        text = f"{term_to_str(t.left, _TATOM)}.{term_to_str(t.right, _SEQ)}"
-        return f"({text})" if _SEQ < level else text
+        return f"{_wrap(kids[0], _TATOM)}.{_wrap(kids[1], _SEQ)}", _SEQ
     if isinstance(t, Star):
-        body = term_to_str(t.body, _TATOM + 1)
-        return f"{body}*"
-    if isinstance(t, Par):
-        text = f"{term_to_str(t.left, _PAR)} || {term_to_str(t.right, _PAR + 1)}"
-        return f"({text})" if _PAR < level else text
-    raise TypeError(f"not a process term: {t!r}")
+        return f"{_wrap(kids[0], _TATOM)}*", _TATOM
+    return f"{_wrap(kids[0], _PAR)} || {_wrap(kids[1], _PAR + 1)}", _PAR
+
+
+def term_to_str(t: ProcessTerm) -> str:
+    return fold(t, _term_node)[0]
 
 
 def requirement_to_str(r: Requirement) -> str:

@@ -30,6 +30,8 @@ from .terms import (
     Termination,
     eval_bool,
     eval_data,
+    fold,
+    subterms,
 )
 
 
@@ -176,32 +178,27 @@ def xi_action_set(blocked: ActionSet) -> ActionSet:
     )
 
 
+def _xi_node(t: ProcessTerm, kids: list[ProcessTerm]) -> ProcessTerm:
+    if isinstance(t, Prefix):
+        a = t.action
+        if a.channel.controllable:
+            a = Action(a.channel, 1, a.receivers)
+        return Prefix(a, t.update, *kids)
+    if isinstance(t, Guard):
+        return Guard(t.condition, *kids)
+    if isinstance(t, Encap):
+        return Encap(xi_action_set(t.blocked), *kids)
+    return type(t)(*kids) if kids else t
+
+
 def xi_rename(t: ProcessTerm) -> ProcessTerm:
     """Rename every controllable receive c?_n into the completed c!?_n.
 
     Defined on plant-form terms: controllable prefixes must be receives."""
-    if isinstance(t, (Deadlock, Termination)):
-        return t
-    if isinstance(t, Prefix):
-        a = t.action
-        if a.channel.controllable:
-            if a.senders != 0:
-                raise ModelError(
-                    f"completion renaming needs a plant-form term; "
-                    f"found controllable send {a}"
-                )
-            a = Action(a.channel, 1, a.receivers)
-        return Prefix(a, t.update, xi_rename(t.cont))
-    if isinstance(t, Guard):
-        return Guard(t.condition, xi_rename(t.body))
-    if isinstance(t, Encap):
-        return Encap(xi_action_set(t.blocked), xi_rename(t.body))
-    if isinstance(t, Alt):
-        return Alt(xi_rename(t.left), xi_rename(t.right))
-    if isinstance(t, Seq):
-        return Seq(xi_rename(t.left), xi_rename(t.right))
-    if isinstance(t, Star):
-        return Star(xi_rename(t.body))
-    if isinstance(t, Par):
-        return Par(xi_rename(t.left), xi_rename(t.right))
-    raise TypeError(f"not a process term: {t!r}")
+    for s in subterms(t):
+        if isinstance(s, Prefix) and s.action.channel.controllable and s.action.senders != 0:
+            raise ModelError(
+                f"completion renaming needs a plant-form term; "
+                f"found controllable send {s.action}"
+            )
+    return fold(t, _xi_node)

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 
 from .errors import BudgetError
 from .semantics import Configuration, Engine
-from .terms import Action, Declarations, canonical_id
+from .terms import Action, Declarations, canonical_id, subterms
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -93,6 +93,10 @@ def explore(
         key = (canonical_id(conf.term), conf.env.alpha.values_tuple)
         return key + (conf.env.rho,) if rho_in_identity else key
 
+    # canonical_id recurses into uncached children: key the root's subterms
+    # children first, so that only the new spines that steps build recurse
+    for t in reversed(list(subterms(root.term))):
+        canonical_id(t)
     states: list[Configuration] = [root]
     index = {identity(root): 0}
     marked: set[int] = set()

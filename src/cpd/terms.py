@@ -13,7 +13,7 @@ values are integers; enumerated constants are integers with a printable name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 from .errors import SpecError
 
@@ -450,79 +450,89 @@ def _normalize(t: ProcessTerm) -> int:
 
 
 # ---------------------------------------------------------------------------
+# traversal with an explicit stack, so that no recursion limit bounds a term
+
+# where each process-term class keeps its subterms, left to right
+_SUBTERMS: dict[type, tuple[str, ...]] = {
+    Deadlock: (),
+    Termination: (),
+    Prefix: ("cont",),
+    Guard: ("body",),
+    Encap: ("body",),
+    Star: ("body",),
+    Alt: ("left", "right"),
+    Seq: ("left", "right"),
+    Par: ("left", "right"),
+}
+R = TypeVar("R")
+
+
+def children(t: ProcessTerm) -> tuple[ProcessTerm, ...]:
+    """The direct subterms of ``t``, left to right."""
+    try:
+        names = _SUBTERMS[type(t)]
+    except KeyError:
+        raise TypeError(f"not a process term: {t!r}") from None
+    return tuple(getattr(t, name) for name in names)
+
+
+def subterms(t: ProcessTerm) -> Iterator[ProcessTerm]:
+    """``t`` and every subterm occurrence in pre-order, left before right."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(children(s)))
+
+
+def fold(t: ProcessTerm, visit: Callable[[ProcessTerm, list[R]], R]) -> R:
+    """Bottom-up fold: ``visit(s, results)`` gets the results for the children
+    of s, left to right.  Reversed pre-order reaches every child before its
+    parent, right subtree first, so those results top one result stack."""
+    results: list[R] = []
+    for s in reversed(list(subterms(t))):
+        results.append(visit(s, [results.pop() for _ in _SUBTERMS[type(s)]]))
+    return results.pop()
+
+
+# ---------------------------------------------------------------------------
 # syntactic classifiers
 
 def plant_violations(t: ProcessTerm) -> list[str]:
     """Subterms breaking the plant class: controllable prefixes must be plain
     receives c?_n[f]; uncontrollable prefixes are unrestricted."""
-    out: list[str] = []
-
-    def walk(s: ProcessTerm) -> None:
-        if isinstance(s, Prefix):
-            a = s.action
-            if a.channel.controllable and a.senders != 0:
-                out.append(f"controllable prefix must be a receive: {a}")
-            walk(s.cont)
-        elif isinstance(s, (Guard, Encap, Star)):
-            walk(s.body)
-        elif isinstance(s, (Alt, Seq, Par)):
-            walk(s.left)
-            walk(s.right)
-
-    walk(t)
-    return out
+    return [
+        f"controllable prefix must be a receive: {s.action}"
+        for s in subterms(t)
+        if isinstance(s, Prefix) and s.action.channel.controllable and s.action.senders != 0
+    ]
 
 
 def classify_plant(t: ProcessTerm) -> bool:
     return not plant_violations(t)
 
 
+_NOT_IN_SUPERVISOR = {
+    Deadlock: "deadlock",
+    Encap: "encapsulation",
+    Seq: "sequential composition",
+    Par: "parallel composition",
+}
+
+
 def supervisor_violations(t: ProcessTerm) -> list[str]:
     """Subterms breaking the supervisor class: only 1, guarded terms, sums,
     iteration, and update-free controllable sends c![].S are allowed."""
     out: list[str] = []
-
-    def walk(s: ProcessTerm) -> None:
-        if isinstance(s, Termination):
-            return
+    for s in subterms(t):
         if isinstance(s, Prefix):
             a = s.action
             if not (a.channel.controllable and a.senders == 1 and a.receivers == 0):
                 out.append(f"supervisor prefix must be a controllable send: {a}")
             if len(s.update):
                 out.append(f"supervisor prefix must not update variables: {a}")
-            walk(s.cont)
-            return
-        if isinstance(s, Guard):
-            walk(s.body)
-            return
-        if isinstance(s, Alt):
-            walk(s.left)
-            walk(s.right)
-            return
-        if isinstance(s, Star):
-            walk(s.body)
-            return
-        if isinstance(s, Deadlock):
-            out.append("supervisor must not contain deadlock")
-            return
-        if isinstance(s, Encap):
-            out.append("supervisor must not contain encapsulation")
-            walk(s.body)
-            return
-        if isinstance(s, Seq):
-            out.append("supervisor must not contain sequential composition")
-            walk(s.left)
-            walk(s.right)
-            return
-        if isinstance(s, Par):
-            out.append("supervisor must not contain parallel composition")
-            walk(s.left)
-            walk(s.right)
-            return
-        raise TypeError(f"not a process term: {s!r}")
-
-    walk(t)
+        elif type(s) in _NOT_IN_SUPERVISOR:
+            out.append(f"supervisor must not contain {_NOT_IN_SUPERVISOR[type(s)]}")
     return out
 
 
@@ -532,20 +542,15 @@ def classify_supervisor(t: ProcessTerm) -> bool:
 
 def free_variables(t: ProcessTerm) -> frozenset[str]:
     """Variables read by guards or updates, or written by updates."""
-    if isinstance(t, (Deadlock, Termination)):
-        return frozenset()
-    if isinstance(t, Prefix):
-        out = t.update.domain() | free_variables(t.cont)
-        for _, expr in t.update:
-            out |= expr_variables(expr)
-        return out
-    if isinstance(t, Guard):
-        return bool_variables(t.condition) | free_variables(t.body)
-    if isinstance(t, (Encap, Star)):
-        return free_variables(t.body)
-    if isinstance(t, (Alt, Seq, Par)):
-        return free_variables(t.left) | free_variables(t.right)
-    raise TypeError(f"not a process term: {t!r}")
+    out: set[str] = set()
+    for s in subterms(t):
+        if isinstance(s, Prefix):
+            for name, expr in s.update:
+                out.add(name)
+                out |= expr_variables(expr)
+        elif isinstance(s, Guard):
+            out |= bool_variables(s.condition)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

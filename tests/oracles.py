@@ -19,12 +19,14 @@ from cpd.control import (
     renamed_plant,
     supervised_plant,
 )
-from cpd.errors import BudgetError
+from cpd.errors import BudgetError, ModelError
+from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.relations import partial_bisim
-from cpd.semantics import Engine
+from cpd.semantics import Engine, xi_action_set
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, explore
 from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
+    Action,
     Alt,
     And,
     BinOp,
@@ -48,6 +50,8 @@ from cpd.terms import (
     Termination,
     VarRef,
     alt,
+    bool_variables,
+    expr_variables,
 )
 
 
@@ -381,3 +385,150 @@ def verify_synthesis_oracle(spec, sup, budget=DEFAULT_BUDGET):
         nonblocking=check_nonblocking(ss),
         supervised_states=len(ss.states),
     )
+
+
+# ---------------------------------------------------------------------------
+# the recursive term walkers the package replaced by its iterative traversal
+
+
+def xi_rename_oracle(t):
+    if isinstance(t, (Deadlock, Termination)):
+        return t
+    if isinstance(t, Prefix):
+        a = t.action
+        if a.channel.controllable:
+            if a.senders != 0:
+                raise ModelError(
+                    f"completion renaming needs a plant-form term; "
+                    f"found controllable send {a}"
+                )
+            a = Action(a.channel, 1, a.receivers)
+        return Prefix(a, t.update, xi_rename_oracle(t.cont))
+    if isinstance(t, Guard):
+        return Guard(t.condition, xi_rename_oracle(t.body))
+    if isinstance(t, Encap):
+        return Encap(xi_action_set(t.blocked), xi_rename_oracle(t.body))
+    if isinstance(t, Alt):
+        return Alt(xi_rename_oracle(t.left), xi_rename_oracle(t.right))
+    if isinstance(t, Seq):
+        return Seq(xi_rename_oracle(t.left), xi_rename_oracle(t.right))
+    if isinstance(t, Star):
+        return Star(xi_rename_oracle(t.body))
+    if isinstance(t, Par):
+        return Par(xi_rename_oracle(t.left), xi_rename_oracle(t.right))
+    raise TypeError(f"not a process term: {t!r}")
+
+
+# term levels, loosest first
+_PAR, _ALT, _GUARD, _SEQ, _TATOM = range(5)
+
+
+def term_to_str_oracle(t, level=_PAR):
+    """Top-down printer: each call is told how tightly its context binds."""
+    if isinstance(t, Deadlock):
+        return "0"
+    if isinstance(t, Termination):
+        return "1"
+    if isinstance(t, Prefix):
+        head = t.action.format()
+        if len(t.update):
+            head += update_to_str(t.update)
+        text = f"{head}.{term_to_str_oracle(t.cont, _SEQ)}"
+        return f"({text})" if _SEQ < level else text
+    if isinstance(t, Guard):
+        text = f"{bool_to_str(t.condition)} -> {term_to_str_oracle(t.body, _GUARD)}"
+        return f"({text})" if _GUARD < level else text
+    if isinstance(t, Encap):
+        return f"encap {actionset_to_str(t.blocked)} ({term_to_str_oracle(t.body)})"
+    if isinstance(t, Alt):
+        text = f"{term_to_str_oracle(t.left, _ALT)} + {term_to_str_oracle(t.right, _ALT + 1)}"
+        return f"({text})" if _ALT < level else text
+    if isinstance(t, Seq):
+        text = f"{term_to_str_oracle(t.left, _TATOM)}.{term_to_str_oracle(t.right, _SEQ)}"
+        return f"({text})" if _SEQ < level else text
+    if isinstance(t, Star):
+        return f"{term_to_str_oracle(t.body, _TATOM + 1)}*"
+    if isinstance(t, Par):
+        text = f"{term_to_str_oracle(t.left, _PAR)} || {term_to_str_oracle(t.right, _PAR + 1)}"
+        return f"({text})" if _PAR < level else text
+    raise TypeError(f"not a process term: {t!r}")
+
+
+def plant_violations_oracle(t):
+    out = []
+
+    def walk(s):
+        if isinstance(s, Prefix):
+            a = s.action
+            if a.channel.controllable and a.senders != 0:
+                out.append(f"controllable prefix must be a receive: {a}")
+            walk(s.cont)
+        elif isinstance(s, (Guard, Encap, Star)):
+            walk(s.body)
+        elif isinstance(s, (Alt, Seq, Par)):
+            walk(s.left)
+            walk(s.right)
+
+    walk(t)
+    return out
+
+
+def supervisor_violations_oracle(t):
+    out = []
+
+    def walk(s):
+        if isinstance(s, Termination):
+            return
+        if isinstance(s, Prefix):
+            a = s.action
+            if not (a.channel.controllable and a.senders == 1 and a.receivers == 0):
+                out.append(f"supervisor prefix must be a controllable send: {a}")
+            if len(s.update):
+                out.append(f"supervisor prefix must not update variables: {a}")
+            walk(s.cont)
+            return
+        if isinstance(s, (Guard, Star)):
+            walk(s.body)
+            return
+        if isinstance(s, Alt):
+            walk(s.left)
+            walk(s.right)
+            return
+        if isinstance(s, Deadlock):
+            out.append("supervisor must not contain deadlock")
+            return
+        if isinstance(s, Encap):
+            out.append("supervisor must not contain encapsulation")
+            walk(s.body)
+            return
+        if isinstance(s, Seq):
+            out.append("supervisor must not contain sequential composition")
+            walk(s.left)
+            walk(s.right)
+            return
+        if isinstance(s, Par):
+            out.append("supervisor must not contain parallel composition")
+            walk(s.left)
+            walk(s.right)
+            return
+        raise TypeError(f"not a process term: {s!r}")
+
+    walk(t)
+    return out
+
+
+def free_variables_oracle(t):
+    if isinstance(t, (Deadlock, Termination)):
+        return frozenset()
+    if isinstance(t, Prefix):
+        out = t.update.domain() | free_variables_oracle(t.cont)
+        for _, expr in t.update:
+            out |= expr_variables(expr)
+        return out
+    if isinstance(t, Guard):
+        return bool_variables(t.condition) | free_variables_oracle(t.body)
+    if isinstance(t, (Encap, Star)):
+        return free_variables_oracle(t.body)
+    if isinstance(t, (Alt, Seq, Par)):
+        return free_variables_oracle(t.left) | free_variables_oracle(t.right)
+    raise TypeError(f"not a process term: {t!r}")

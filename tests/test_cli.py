@@ -7,7 +7,7 @@ import pytest
 from cpd.cli import main
 from cpd.control import operational_root
 from cpd.models import model_text
-from cpd.parser import parse
+from cpd.parser import parse, print_spec
 from cpd.statespace import explore
 
 DOOMED = """uncontrollable u;
@@ -143,12 +143,23 @@ class TestExplore:
 
 
 class TestDeepTerms:
+    def test_long_prefix_chain_parses_and_explores(self, tmp_path, capsys):
+        f = tmp_path / "deep.cpd"
+        f.write_text("uncontrollable u;\nprocess P = " + "u!." * 5000
+                     + "1;\nplant P;\n")
+        assert main(["parse", str(f)]) == 0
+        text = capsys.readouterr().out
+        # compare texts: dataclass equality recurses on deep terms
+        assert print_spec(parse(text, "deep.cpd")) == text
+        assert main(["explore", str(f)]) == 0
+        assert capsys.readouterr().out == "states 5001 transitions 5000 marked 1\n"
+
     @pytest.mark.parametrize("command", ["parse", "explore"])
-    def test_long_prefix_chain_is_resource_exhaustion(self, command, tmp_path,
+    def test_deep_parentheses_are_resource_exhaustion(self, command, tmp_path,
                                                       capsys):
         f = tmp_path / "deep.cpd"
-        f.write_text("uncontrollable u;\nprocess P = " + "u!." * 1200
-                     + "1;\nplant P;\n")
+        f.write_text("uncontrollable u;\nprocess P = " + "(" * 2000 + "u!.1"
+                     + ")" * 2000 + ";\nplant P;\n")
         assert main([command, str(f)]) == 2
         assert capsys.readouterr().err == (
             "error: recursion limit reached: the specification nests too "
