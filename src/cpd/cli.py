@@ -138,7 +138,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     root = operational_root(spec, unsupervised=args.unsupervised)
     ss = explore(root, spec.declarations, budget,
                  rho_in_identity=args.rho_in_identity)
-    counts = (f"states {len(ss.states)} transitions {len(ss.transitions)} "
+    counts = (f"states {len(ss.states)} transitions {sum(map(len, ss.succ))} "
               f"marked {len(ss.marked)}")
     if args.format == "text":
         _emit(counts, args.output)
@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, CpdError) as exc:
+    except (ValueError, OSError, CpdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetError):
             return 2

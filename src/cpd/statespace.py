@@ -15,6 +15,11 @@ The written set only mediates synchronization inside a single step and is
 excluded from identity by default (``rho_in_identity`` retains it).
 Exploration is breadth first with transitions ordered by (channel, senders,
 receivers), so state numbering is stable across runs.
+
+``succ`` is the one stored edge relation: ``succ[s]`` lists the (action,
+target) edges out of state s in that order.  ``transitions`` and
+``predecessors()`` are derived from it on each call; ``transitions`` is the
+flattening of ``succ`` in state order.
 """
 
 from __future__ import annotations
@@ -36,14 +41,20 @@ class StateSpace:
     declarations: Declarations
     states: list[Configuration]
     initial: int
-    transitions: list[tuple[int, Action, int]]
     marked: set[int]
     # breadth-first tree: parents[s] = (predecessor, action), None at the root
     parents: list[tuple[int, Action] | None]
-    succ: list[list[tuple[Action, int]]] = field(repr=False, default_factory=list)
+    succ: list[list[tuple[Action, int]]] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def transitions(self) -> list[tuple[int, Action, int]]:
+        """Every edge as (source, action, target): ``succ`` flattened in
+        state order."""
+        return [(src, action, dst)
+                for src, edges in enumerate(self.succ) for action, dst in edges]
 
     def valuation_text(self, state: int, sep: str = ", ") -> str:
         """The state's valuation as rendered ``name=value`` pairs."""
@@ -57,8 +68,9 @@ class StateSpace:
     def predecessors(self) -> list[list[int]]:
         """Source states of the transitions into each state."""
         pred: list[list[int]] = [[] for _ in self.states]
-        for src, _, dst in self.transitions:
-            pred[dst].append(src)
+        for src, edges in enumerate(self.succ):
+            for _, dst in edges:
+                pred[dst].append(src)
         return pred
 
 
@@ -102,7 +114,6 @@ def explore(
     marked: set[int] = set()
     parents: list[tuple[int, Action] | None] = [None]
     succ: list[list[tuple[Action, int]]] = []
-    transitions: list[tuple[int, Action, int]] = []
 
     queue: deque[int] = deque([0])
     while queue:
@@ -131,14 +142,12 @@ def explore(
                 continue
             seen_here.add(edge)
             outgoing.append(edge)
-            transitions.append((src, action, dst))
         succ.append(outgoing)
 
     return StateSpace(
         declarations=declarations,
         states=states,
         initial=0,
-        transitions=transitions,
         marked=marked,
         parents=parents,
         succ=succ,

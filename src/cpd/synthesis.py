@@ -14,7 +14,8 @@ guard is a sound cover that need not be the smallest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Container
+from dataclasses import dataclass
 
 from .errors import ObserverError, SynthesisError
 from .parser import SystemSpec
@@ -25,7 +26,6 @@ from .control import (
     check_nonblocking,
     check_controllability,
     default_encapsulation,
-    requirement_fails,
     satisfies_globally,
     supervised_plant,
     renamed_plant,
@@ -67,6 +67,14 @@ class SupervisorSpec:
     termination_guard: BoolExpr = TRUE
 
 
+def _disabled(ss: StateSpace, bad: Container[int], forbidden: Container[tuple[int, Channel]],
+              state: int, channel: Channel) -> bool:
+    """Whether the supervisor disables a controllable channel at a state:
+    the pair is forbidden, or some step on that channel leads into BAD."""
+    return (state, channel) in forbidden or any(
+        dst in bad for action, dst in ss.succ[state] if action.channel == channel)
+
+
 @dataclass
 class SynthesisSpace:
     """The explored renamed plant with the fixpoint verdicts."""
@@ -75,15 +83,10 @@ class SynthesisSpace:
     bad: frozenset[int]
     forbidden: frozenset[tuple[int, Channel]]
     iterations: int
-    # ctrl_targets[s]: targets of each enabled controllable channel of state s
-    ctrl_targets: list[dict[Channel, list[int]]] = field(repr=False)
 
     def allowed(self, state: int, channel: Channel) -> bool:
         """Final per-state verdict for an enabled controllable channel."""
-        if (state, channel) in self.forbidden:
-            return False
-        targets = self.ctrl_targets[state].get(channel, [])
-        return all(t not in self.bad for t in targets)
+        return not _disabled(self.space, self.bad, self.forbidden, state, channel)
 
 
 def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisSpace:
@@ -92,31 +95,22 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
     ss = explore(renamed_plant(spec), spec.declarations, budget)
     n = len(ss.states)
 
+    # a violated invariant or excluded uncontrollable event makes the state
+    # bad; an excluded controllable event only forbids that channel there
     bad: set[int] = set()
     forbidden: set[tuple[int, Channel]] = set()
-    for state in range(n):
-        alpha = ss.states[state].env.alpha
-        enabled = {a for a, _ in ss.succ[state]}
-        for r in spec.requirements:
-            if not requirement_fails(r, alpha, enabled.__contains__):
-                continue
-            if isinstance(r, Invariant) or not r.action.channel.controllable:
-                bad.add(state)
-            else:
-                forbidden.add((state, r.action.channel))
+    for violation in satisfies_globally(ss, spec.requirements).violations:
+        r = violation.requirement
+        if isinstance(r, Invariant) or not r.action.channel.controllable:
+            bad.add(violation.state)
+        else:
+            forbidden.add((violation.state, r.action.channel))
 
     unc_pred: list[list[int]] = [[] for _ in range(n)]
-    for src, action, dst in ss.transitions:
-        if not action.channel.controllable:
-            unc_pred[dst].append(src)
-
-    ctrl_targets: list[dict[Channel, list[int]]] = []
-    for state in range(n):
-        table: dict[Channel, list[int]] = {}
-        for action, dst in ss.succ[state]:
-            if action.channel.controllable:
-                table.setdefault(action.channel, []).append(dst)
-        ctrl_targets.append(table)
+    for src, edges in enumerate(ss.succ):
+        for action, dst in edges:
+            if not action.channel.controllable:
+                unc_pred[dst].append(src)
 
     iterations = 0
     while True:
@@ -130,12 +124,9 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             for action, dst in ss.succ[src]:
                 if dst in bad:
                     continue
-                channel = action.channel
-                if channel.controllable:
-                    if (src, channel) in forbidden:
-                        continue
-                    if any(t in bad for t in ctrl_targets[src][channel]):
-                        continue
+                if action.channel.controllable and _disabled(
+                        ss, bad, forbidden, src, action.channel):
+                    continue
                 pred[dst].append(src)
         coreach = backward_closure(pred, (s for s in ss.marked if s not in bad))
         pruned = [s for s in range(n) if s not in bad and s not in coreach]
@@ -148,7 +139,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             "no supervisor exists: the initial state cannot be kept safe "
             f"({len(bad)} of {n} states are unsafe)"
         )
-    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), iterations, ctrl_targets)
+    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -433,32 +424,29 @@ class SynthesisReport:
 def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
     """Read one guard per controllable channel off the fixpoint verdicts."""
     ss = syn.space
-    bad = syn.bad
-    guards: dict[Channel, BoolExpr] = {}
-    for channel in spec.declarations.channels:
-        if not channel.controllable:
+    channels = [c for c in spec.declarations.channels if c.controllable]
+    # per channel: first state of each valuation where it is enabled and
+    # allowed (on), or enabled and disabled (off)
+    on: dict[Channel, dict[Valuation, int]] = {c: {} for c in channels}
+    off: dict[Channel, dict[Valuation, int]] = {c: {} for c in channels}
+    for state, edges in enumerate(ss.succ):
+        if state in syn.bad:
             continue
-        on: dict[Valuation, int] = {}
-        off: dict[Valuation, int] = {}
-        for state in range(len(ss.states)):
-            if state in bad:
-                continue
-            if channel not in syn.ctrl_targets[state]:
-                continue
-            alpha = ss.states[state].env.alpha
-            if syn.allowed(state, channel):
-                on.setdefault(alpha, state)
-            else:
-                off.setdefault(alpha, state)
-        conflicts = set(on) & set(off)
+        alpha = ss.states[state].env.alpha
+        for channel in {a.channel for a, _ in edges if a.channel.controllable}:
+            side = on if syn.allowed(state, channel) else off
+            side[channel].setdefault(alpha, state)
+    guards: dict[Channel, BoolExpr] = {}
+    for channel in channels:
+        conflicts = set(on[channel]) & set(off[channel])
         if conflicts:
             alpha = next(iter(conflicts))
             raise ObserverError(
                 f"guard for '{channel.name}' is not a function of the variables: "
-                f"states {on[alpha]} and {off[alpha]} carry the same valuation "
-                f"but only one of them may enable the channel"
+                f"states {on[channel][alpha]} and {off[channel][alpha]} carry the same "
+                f"valuation but only one of them may enable the channel"
             )
-        guards[channel] = minimize_guard(spec.declarations, set(on), set(off))
+        guards[channel] = minimize_guard(spec.declarations, set(on[channel]), set(off[channel]))
     return SupervisorSpec(guards=guards, termination_guard=TRUE)
 
 

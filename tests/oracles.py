@@ -17,13 +17,14 @@ from cpd.control import (
     Violation,
     check_nonblocking,
     renamed_plant,
+    requirement_fails,
     supervised_plant,
 )
-from cpd.errors import BudgetError, ModelError
+from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.relations import partial_bisim
 from cpd.semantics import Engine, xi_action_set
-from cpd.statespace import DEFAULT_BUDGET, StateSpace, explore
+from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
     Action,
@@ -301,7 +302,6 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
     marked = set()
     parents = [None]
     succ = []
-    transitions = []
     queue = deque([0])
     while queue:
         src = queue.popleft()
@@ -328,17 +328,100 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
                 continue
             seen_here.add(edge)
             outgoing.append(edge)
-            transitions.append((src, action, dst))
         succ.append(outgoing)
     return StateSpace(
         declarations=declarations,
         states=states,
         initial=0,
-        transitions=transitions,
         marked=marked,
         parents=parents,
         succ=succ,
     )
+
+
+@dataclasses.dataclass
+class SynthesisSpaceOracle:
+    """``analyze_oracle``'s verdicts, with a table of the targets of each
+    enabled controllable channel per state."""
+
+    space: StateSpace
+    bad: frozenset
+    forbidden: frozenset
+    iterations: int
+    # ctrl_targets[s]: targets of each enabled controllable channel of state s
+    ctrl_targets: list
+
+    def allowed(self, state, channel):
+        if (state, channel) in self.forbidden:
+            return False
+        targets = self.ctrl_targets[state].get(channel, [])
+        return all(t not in self.bad for t in targets)
+
+
+def analyze_oracle(spec, budget=DEFAULT_BUDGET):
+    """The forbidden-state fixpoint with its own requirement loop, a table of
+    controllable targets per state, and predecessor lists read off the
+    flattened transitions."""
+    ss = explore(renamed_plant(spec), spec.declarations, budget)
+    n = len(ss.states)
+
+    bad = set()
+    forbidden = set()
+    for state in range(n):
+        alpha = ss.states[state].env.alpha
+        enabled = {a for a, _ in ss.succ[state]}
+        for r in spec.requirements:
+            if not requirement_fails(r, alpha, enabled.__contains__):
+                continue
+            if isinstance(r, Invariant) or not r.action.channel.controllable:
+                bad.add(state)
+            else:
+                forbidden.add((state, r.action.channel))
+
+    unc_pred = [[] for _ in range(n)]
+    for src, action, dst in ss.transitions:
+        if not action.channel.controllable:
+            unc_pred[dst].append(src)
+
+    ctrl_targets = []
+    for state in range(n):
+        table = {}
+        for action, dst in ss.succ[state]:
+            if action.channel.controllable:
+                table.setdefault(action.channel, []).append(dst)
+        ctrl_targets.append(table)
+
+    iterations = 0
+    while True:
+        iterations += 1
+        bad = backward_closure(unc_pred, bad)
+        pred = [[] for _ in range(n)]
+        for src in range(n):
+            if src in bad:
+                continue
+            for action, dst in ss.succ[src]:
+                if dst in bad:
+                    continue
+                channel = action.channel
+                if channel.controllable:
+                    if (src, channel) in forbidden:
+                        continue
+                    if any(t in bad for t in ctrl_targets[src][channel]):
+                        continue
+                pred[dst].append(src)
+        coreach = backward_closure(pred, (s for s in ss.marked if s not in bad))
+        pruned = [s for s in range(n) if s not in bad and s not in coreach]
+        if not pruned:
+            break
+        bad.update(pruned)
+
+    if ss.initial in bad:
+        raise SynthesisError(
+            "no supervisor exists: the initial state cannot be kept safe "
+            f"({len(bad)} of {n} states are unsafe)"
+        )
+    return SynthesisSpaceOracle(ss, frozenset(bad), frozenset(forbidden), iterations,
+                                ctrl_targets)
 
 
 def satisfies_globally_oracle(ss, rs):

@@ -338,6 +338,11 @@ class TestSemanticsProperties:
                 all(v == 200 for v in counts.values()))
 
 
+def enabled_controllable(ss, state):
+    """The controllable channels with a step out of the state, in step order."""
+    return dict.fromkeys(a.channel for a, _ in ss.succ[state] if a.channel.controllable)
+
+
 def induced_edges(syn, extra):
     base = syn.space
     edges = []
@@ -408,7 +413,6 @@ def graph_controllability_ok(base, edges, reach):
         declarations=base.declarations,
         states=[base.states[s] for s in order],
         initial=remap[base.initial],
-        transitions=[(i, a, d) for i, out in enumerate(succ) for a, d in out],
         marked={remap[s] for s in base.marked if s in reach},
         parents=[None] * len(order),
         succ=succ,
@@ -441,7 +445,7 @@ class TestSynthesisSoundness:
             assert graph_controllability_ok(syn.space, base_edges, reach)
 
             for state in sorted(reach):
-                for channel in syn.ctrl_targets[state]:
+                for channel in enabled_controllable(syn.space, state):
                     if syn.allowed(state, channel):
                         continue
                     extra = frozenset({(state, channel)})

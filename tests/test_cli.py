@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, formats, streams, exit codes."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +76,11 @@ class TestParse:
         assert "absent.cpd" in capsys.readouterr().err
 
 
+def is_a_directory(path):
+    """The one-line diagnostic for opening a directory as a file."""
+    return f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(path)!r}\n"
+
+
 class TestExplore:
     def test_summary_line(self, agv, capsys):
         assert main(["explore", agv]) == 0
@@ -94,6 +104,14 @@ class TestExplore:
         target = tmp_path / "out.json"
         assert main(["explore", agv, "--format", "json", "-o", str(target)]) == 0
         json.loads(target.read_text())
+
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["explore", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == is_a_directory(tmp_path)
+
+    def test_directory_output(self, agv, tmp_path, capsys):
+        assert main(["explore", agv, "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == is_a_directory(tmp_path)
 
     def test_budget_exceeded(self, agv, capsys):
         assert main(["explore", agv, "--budget", "2"]) == 2
@@ -140,6 +158,26 @@ class TestExplore:
         src = full.parents[10][0]
         assert 10 - (src + 1) == frontier
         assert len(full.trace_to(src)) == depth
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("command", ["explore", "synth"])
+    def test_json_output_does_not_depend_on_hash_seed(self, command, ppf):
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from cpd.cli import main; sys.exit(main())",
+                 command, "--format", "json", ppf],
+                env=env, capture_output=True, timeout=300, check=True)
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())
 
 
 class TestDeepTerms:

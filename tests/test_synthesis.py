@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,9 @@ from cpd.terms import (
 )
 
 from gen import random_plant_spec
-from oracles import all_cube_formulas
+from oracles import all_cube_formulas, analyze_oracle
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def table(decls):
@@ -217,10 +220,53 @@ class TestAnalyze:
     def test_controllable_targets_lists_enabled_channels(self):
         sp = load("agv")
         syn = analyze(sp)
-        targets = syn.ctrl_targets[0]
+        targets = {}
+        for action, dst in syn.space.succ[0]:
+            if action.channel.controllable:
+                targets.setdefault(action.channel, []).append(dst)
         assert sorted(c.name for c in targets) == ["gotoA", "gotoB"]
         for dsts in targets.values():
             assert all(0 <= d < len(syn.space) for d in dsts)
+
+
+def assert_analyzes_like_oracle(spec):
+    """Same verdicts as the oracle, or the same SynthesisError text; returns
+    whether a supervisor exists."""
+    try:
+        old = analyze_oracle(spec)
+    except SynthesisError as exc:
+        with pytest.raises(SynthesisError) as new_exc:
+            analyze(spec)
+        assert str(new_exc.value) == str(exc)
+        return False
+    new = analyze(spec)
+    assert new.bad == old.bad
+    assert new.forbidden == old.forbidden
+    assert new.iterations == old.iterations
+    for state, enabled in enumerate(old.ctrl_targets):
+        for channel in enabled:
+            assert new.allowed(state, channel) == old.allowed(state, channel)
+    return True
+
+
+class TestAnalyzeMatchesOracle:
+    @pytest.mark.parametrize("name", ["agv", "ppf_1_1", "ppf_1_1_tampered"])
+    def test_bundled_models(self, name):
+        assert assert_analyzes_like_oracle(load(name))
+
+    @pytest.mark.parametrize("name", ["ppf_1_2.cpd", "ppf_1_3.cpd"])
+    def test_benchmark_inputs(self, name):
+        path = PERFBENCH_INPUTS / name
+        assert assert_analyzes_like_oracle(parse(path.read_text(encoding="utf-8"), str(path)))
+
+    def test_wider_cell(self):
+        assert assert_analyzes_like_oracle(instantiate_ppf(2, [1, 1]))
+
+    def test_random_plants(self):
+        outcomes = {assert_analyzes_like_oracle(random_plant_spec(random.Random(seed)))
+                    for seed in range(200)}
+        # both the fixpoint verdicts and the error text are compared
+        assert outcomes == {True, False}
 
 
 class TestErrors:
@@ -308,7 +354,8 @@ class TestGuardsMatchStates:
             if state in syn.bad:
                 continue
             alpha = syn.space.states[state].env.alpha
-            for channel in syn.ctrl_targets[state]:
+            for channel in {a.channel for a, _ in syn.space.succ[state]
+                            if a.channel.controllable}:
                 want = syn.allowed(state, channel)
                 assert eval_bool(alpha, sup.guards[channel]) == want
 
