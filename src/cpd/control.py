@@ -56,7 +56,8 @@ def satisfies(c: Configuration, r: Requirement, declarations: Declarations) -> b
     """Whether a single configuration meets the requirement."""
 
     def enabled(action: Action) -> bool:
-        return any(a == action for a, _ in Engine(declarations).step(c))
+        steps = Engine(declarations).derive(c.term, c.env.alpha)[1]
+        return any(a == action for a, _, _ in steps)
 
     return not requirement_fails(r, c.env.alpha, enabled)
 

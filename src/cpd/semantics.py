@@ -1,10 +1,13 @@
 """Operational semantics: termination, transitions, and the completion renaming.
 
 A configuration pairs a process term with an environment (valuation, written
-set).  ``Engine.step`` derives the outgoing transitions of a configuration;
-``Engine.terminates`` decides its termination option.  Synchronization on a
-shared channel merges the two parties' writes when they agree on the overlap,
-and adds up sender and receiver counts.
+set).  ``Engine.derive`` walks a term once under a valuation for both its
+termination option and its steps.  A step carries its action, its residual
+and its writes, a dict from each updated variable to its new value.  Guards
+and updates read the source valuation and no step reads the source's written
+set, so the walk builds no environment.  Synchronization on a shared channel
+merges the two parties' writes when they agree on the names both write, and
+adds up sender and receiver counts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .terms import (
     Seq,
     Star,
     Termination,
+    Valuation,
     eval_bool,
     eval_data,
     fold,
@@ -41,8 +45,8 @@ class Configuration:
     env: Environment
 
 
-# a derived transition before packaging: action, residual term, new environment
-_Step = tuple[Action, ProcessTerm, Environment]
+# a derived transition: action, residual term, values its updates write
+Step = tuple[Action, ProcessTerm, dict[str, int]]
 
 
 class Engine:
@@ -55,98 +59,86 @@ class Engine:
         return Configuration(term, self.declarations.initial_environment())
 
     def terminates(self, conf: Configuration) -> bool:
-        return self._terminates(conf.term, conf.env)
-
-    def _terminates(self, t: ProcessTerm, env: Environment) -> bool:
-        if isinstance(t, Termination):
-            return True
-        if isinstance(t, (Deadlock, Prefix)):
-            return False
-        if isinstance(t, Guard):
-            return eval_bool(env.alpha, t.condition) and self._terminates(t.body, env)
-        if isinstance(t, Encap):
-            return self._terminates(t.body, env)
-        if isinstance(t, Alt):
-            return self._terminates(t.left, env) or self._terminates(t.right, env)
-        if isinstance(t, Seq):
-            return self._terminates(t.left, env) and self._terminates(t.right, env)
-        if isinstance(t, Star):
-            return True
-        if isinstance(t, Par):
-            return self._terminates(t.left, env) and self._terminates(t.right, env)
-        raise TypeError(f"not a process term: {t!r}")
+        return self.derive(conf.term, conf.env.alpha)[0]
 
     def step(self, conf: Configuration) -> list[tuple[Action, Configuration]]:
-        return [
-            (action, Configuration(term, env))
-            for action, term, env in self._step(conf.term, conf.env)
-        ]
+        alpha = conf.env.alpha
+        return [(action, Configuration(term, Environment(alpha.assign(writes), frozenset(writes))))
+                for action, term, writes in self.derive(conf.term, alpha)[1]]
 
-    def _step(self, t: ProcessTerm, env: Environment) -> list[_Step]:
-        if isinstance(t, (Deadlock, Termination)):
-            return []
+    def derive(self, t: ProcessTerm, alpha: Valuation) -> tuple[bool, list[Step]]:
+        """The termination option and the steps of ``t`` under ``alpha``, in
+        one walk that loops over ``+`` spines and the right spine of ``.``."""
+        if isinstance(t, Par):
+            left_ends, left = self.derive(t.left, alpha)
+            right_ends, right = self.derive(t.right, alpha)
+            out = [(action, Par(residual, t.right), writes) for action, residual, writes in left]
+            out.extend((action, Par(t.left, residual), writes)
+                       for action, residual, writes in right)
+            for la, lt, lw in left:
+                for ra, rt, rw in right:
+                    # parties synchronize when they agree on the names both write
+                    if la.channel != ra.channel or any(
+                            rw.get(name, value) != value for name, value in lw.items()):
+                        continue
+                    action = Action(
+                        la.channel, la.senders + ra.senders, la.receivers + ra.receivers
+                    )
+                    out.append((action, Par(lt, rt), {**lw, **rw}))
+            return left_ends and right_ends, out
+        if isinstance(t, Encap):
+            ends, steps = self.derive(t.body, alpha)
+            return ends, [(action, Encap(t.blocked, residual), writes)
+                          for action, residual, writes in steps if action not in t.blocked]
         if isinstance(t, Prefix):
-            new_values: dict[str, int] = {}
+            writes: dict[str, int] = {}
             for name, expr in t.update:
-                value = eval_data(env.alpha, expr)
+                value = eval_data(alpha, expr)
                 domain = self.declarations.var_map[name].domain
                 if value not in domain:
                     raise ModelError(
                         f"update of '{name}' to {value} leaves domain {domain} "
                         f"on action {t.action}"
                     )
-                new_values[name] = value
-            new_env = Environment(env.alpha.assign(new_values), t.update.domain())
-            return [(t.action, t.cont, new_env)]
+                writes[name] = value
+            return False, [(t.action, t.cont, writes)]
         if isinstance(t, Guard):
-            if eval_bool(env.alpha, t.condition):
-                return self._step(t.body, env)
-            return []
-        if isinstance(t, Encap):
-            return [
-                (action, Encap(t.blocked, residual), new_env)
-                for action, residual, new_env in self._step(t.body, env)
-                if action not in t.blocked
-            ]
+            if eval_bool(alpha, t.condition):
+                return self.derive(t.body, alpha)
+            return False, []
         if isinstance(t, Alt):
-            return self._step(t.left, env) + self._step(t.right, env)
+            ends = False
+            out = []
+            stack = [t]
+            while stack:
+                s = stack.pop()
+                if isinstance(s, Alt):
+                    stack.append(s.right)
+                    stack.append(s.left)
+                else:
+                    summand_ends, steps = self.derive(s, alpha)
+                    ends = ends or summand_ends
+                    out.extend(steps)
+            return ends, out
         if isinstance(t, Seq):
-            out: list[_Step] = [
-                (action, Seq(residual, t.right), new_env)
-                for action, residual, new_env in self._step(t.left, env)
-            ]
-            if self._terminates(t.left, env):
-                out.extend(self._step(t.right, env))
-            return out
+            out = []
+            while isinstance(t, Seq):
+                left_ends, steps = self.derive(t.left, alpha)
+                out.extend((action, Seq(residual, t.right), writes)
+                           for action, residual, writes in steps)
+                if not left_ends:
+                    return False, out
+                t = t.right
+            ends, steps = self.derive(t, alpha)
+            out.extend(steps)
+            return ends, out
         if isinstance(t, Star):
-            return [
-                (action, Seq(residual, t), new_env)
-                for action, residual, new_env in self._step(t.body, env)
-            ]
-        if isinstance(t, Par):
-            left_steps = self._step(t.left, env)
-            right_steps = self._step(t.right, env)
-            out = [
-                (action, Par(residual, t.right), new_env)
-                for action, residual, new_env in left_steps
-            ]
-            out.extend(
-                (action, Par(t.left, residual), new_env)
-                for action, residual, new_env in right_steps
-            )
-            for la, lt, le in left_steps:
-                for ra, rt, re_ in right_steps:
-                    if la.channel != ra.channel:
-                        continue
-                    shared = le.rho & re_.rho
-                    if any(le.alpha[x] != re_.alpha[x] for x in shared):
-                        continue
-                    merged = le.alpha.assign({x: re_.alpha[x] for x in re_.rho - le.rho})
-                    action = Action(
-                        la.channel, la.senders + ra.senders, la.receivers + ra.receivers
-                    )
-                    out.append((action, Par(lt, rt), Environment(merged, le.rho | re_.rho)))
-            return out
+            steps = self.derive(t.body, alpha)[1]
+            return True, [(action, Seq(residual, t), writes) for action, residual, writes in steps]
+        if isinstance(t, Termination):
+            return True, []
+        if isinstance(t, Deadlock):
+            return False, []
         raise TypeError(f"not a process term: {t!r}")
 
 

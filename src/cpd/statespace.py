@@ -11,8 +11,12 @@ table lives as long as the process, one CLI call.  The stored states keep
 the raw terms the steps produced, so printed terms and numbering do not
 depend on the ids.
 
-The written set only mediates synchronization inside a single step and is
-excluded from identity by default (``rho_in_identity`` retains it).
+A step carries the values it writes; ``explore`` applies them once per
+transition to key the target, and builds a ``Configuration`` only for a new
+key.  The written set only mediates synchronization inside a single step and
+is excluded from identity by default (``rho_in_identity`` retains it).  A
+stored state's ``env.rho`` is the written set of the transition that first
+reached it.
 Exploration is breadth first with transitions ordered by (channel, senders,
 receivers), so state numbering is stable across runs.
 
@@ -31,7 +35,7 @@ from collections.abc import Iterable
 
 from .errors import BudgetError
 from .semantics import Configuration, Engine
-from .terms import Action, Declarations, canonical_id, subterms
+from .terms import Action, Declarations, Environment, canonical_id, subterms
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -100,17 +104,15 @@ def explore(
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     engine = Engine(declarations)
-
-    def identity(conf: Configuration):
-        key = (canonical_id(conf.term), conf.env.alpha.values_tuple)
-        return key + (conf.env.rho,) if rho_in_identity else key
-
     # canonical_id recurses into uncached children: key the root's subterms
     # children first, so that only the new spines that steps build recurse
     for t in reversed(list(subterms(root.term))):
         canonical_id(t)
+    root_key = (canonical_id(root.term), root.env.alpha.values_tuple)
+    if rho_in_identity:
+        root_key += (root.env.rho,)
     states: list[Configuration] = [root]
-    index = {identity(root): 0}
+    index = {root_key: 0}
     marked: set[int] = set()
     parents: list[tuple[int, Action] | None] = [None]
     succ: list[list[tuple[Action, int]]] = []
@@ -119,14 +121,18 @@ def explore(
     while queue:
         src = queue.popleft()
         conf = states[src]
-        if engine.terminates(conf):
+        alpha = conf.env.alpha
+        terminates, steps = engine.derive(conf.term, alpha)
+        if terminates:
             marked.add(src)
         outgoing: list[tuple[Action, int]] = []
         seen_here: set[tuple[Action, int]] = set()
-        steps = engine.step(conf)
         steps.sort(key=lambda step: step[0].sort_key())
-        for action, target in steps:
-            key = identity(target)
+        for action, term, writes in steps:
+            values = alpha.assigned(writes)
+            key = (canonical_id(term), values)
+            if rho_in_identity:
+                key += (frozenset(writes),)
             dst = index.get(key)
             if dst is None:
                 if budget is not None and len(states) >= budget:
@@ -134,7 +140,8 @@ def explore(
                                       len(_trail(parents, src)))
                 dst = len(states)
                 index[key] = dst
-                states.append(target)
+                env = Environment(alpha.with_values(values), frozenset(writes))
+                states.append(Configuration(term, env))
                 parents.append((src, action))
                 queue.append(dst)
             edge = (action, dst)

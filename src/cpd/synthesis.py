@@ -440,7 +440,8 @@ def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
     for channel in channels:
         conflicts = set(on[channel]) & set(off[channel])
         if conflicts:
-            alpha = next(iter(conflicts))
+            # the conflict met first in BFS order, whatever the set's order
+            alpha = min(conflicts, key=lambda a: min(on[channel][a], off[channel][a]))
             raise ObserverError(
                 f"guard for '{channel.name}' is not a function of the variables: "
                 f"states {on[channel][alpha]} and {off[channel][alpha]} carry the same "

@@ -12,6 +12,7 @@ values are integers; enumerated constants are integers with a printable name.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, TypeVar, Union
 
@@ -233,9 +234,6 @@ class UpdateMap:
 
     def __iter__(self) -> Iterator[tuple[str, DataExpr]]:
         return iter(self.entries)
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.entries)
 
 
 EMPTY_UPDATE = UpdateMap()
@@ -666,12 +664,20 @@ class Valuation(Mapping[str, int]):
         return len(self._names)
 
     def assign(self, updates: Mapping[str, int]) -> "Valuation":
+        return self.with_values(self.assigned(updates))
+
+    def assigned(self, updates: Mapping[str, int]) -> tuple[int, ...]:
+        """The values tuple after the updates, built without a valuation."""
         if not updates:
-            return self
+            return self._values
         values = list(self._values)
         for name, value in updates.items():
             values[self._index[name]] = value
-        return Valuation(self._names, self._index, tuple(values))
+        return tuple(values)
+
+    def with_values(self, values: tuple[int, ...]) -> "Valuation":
+        """A valuation over the same variables holding ``values``."""
+        return Valuation(self._names, self._index, values)
 
     @property
     def values_tuple(self) -> tuple[int, ...]:
@@ -730,16 +736,7 @@ class Declarations:
 
     def all_valuations(self) -> Iterator[Valuation]:
         """Every total valuation over the declared domains, in lexicographic order."""
-        def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if i == len(self.variables):
-                yield tuple(acc)
-                return
-            for v in self.variables[i].domain.values():
-                acc.append(v)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-        for values in rec(0, []):
+        for values in itertools.product(*(v.domain.values() for v in self.variables)):
             yield Valuation(self._names, self._index, values)
 
     def __eq__(self, other: object) -> bool:

@@ -23,7 +23,7 @@ from cpd.control import (
 from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.relations import partial_bisim
-from cpd.semantics import Engine, xi_action_set
+from cpd.semantics import Configuration, xi_action_set
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
@@ -36,6 +36,7 @@ from cpd.terms import (
     Deadlock,
     Encap,
     EnumConst,
+    Environment,
     EventImplies,
     Guard,
     Imp,
@@ -52,6 +53,8 @@ from cpd.terms import (
     VarRef,
     alt,
     bool_variables,
+    eval_bool,
+    eval_data,
     expr_variables,
 )
 
@@ -288,10 +291,102 @@ def canonical_oracle(t):
     raise TypeError(f"not a process term: {t!r}")
 
 
+def terminates_oracle(t, env) -> bool:
+    """Termination option of a term, by recursion on its structure."""
+    if isinstance(t, Termination):
+        return True
+    if isinstance(t, (Deadlock, Prefix)):
+        return False
+    if isinstance(t, Guard):
+        return eval_bool(env.alpha, t.condition) and terminates_oracle(t.body, env)
+    if isinstance(t, Encap):
+        return terminates_oracle(t.body, env)
+    if isinstance(t, Alt):
+        return terminates_oracle(t.left, env) or terminates_oracle(t.right, env)
+    if isinstance(t, Seq):
+        return terminates_oracle(t.left, env) and terminates_oracle(t.right, env)
+    if isinstance(t, Star):
+        return True
+    if isinstance(t, Par):
+        return terminates_oracle(t.left, env) and terminates_oracle(t.right, env)
+    raise TypeError(f"not a process term: {t!r}")
+
+
+def step_oracle(declarations, t, env):
+    """Steps of a term as (action, residual, target environment), by
+    recursion on its structure.  Each step builds its target environment;
+    synchronizing parties are checked through their written sets."""
+    if isinstance(t, (Deadlock, Termination)):
+        return []
+    if isinstance(t, Prefix):
+        new_values = {}
+        for name, expr in t.update:
+            value = eval_data(env.alpha, expr)
+            domain = declarations.var_map[name].domain
+            if value not in domain:
+                raise ModelError(
+                    f"update of '{name}' to {value} leaves domain {domain} "
+                    f"on action {t.action}"
+                )
+            new_values[name] = value
+        written = frozenset(name for name, _ in t.update)
+        return [(t.action, t.cont, Environment(env.alpha.assign(new_values), written))]
+    if isinstance(t, Guard):
+        if eval_bool(env.alpha, t.condition):
+            return step_oracle(declarations, t.body, env)
+        return []
+    if isinstance(t, Encap):
+        return [
+            (action, Encap(t.blocked, residual), new_env)
+            for action, residual, new_env in step_oracle(declarations, t.body, env)
+            if action not in t.blocked
+        ]
+    if isinstance(t, Alt):
+        return step_oracle(declarations, t.left, env) + step_oracle(declarations, t.right, env)
+    if isinstance(t, Seq):
+        out = [
+            (action, Seq(residual, t.right), new_env)
+            for action, residual, new_env in step_oracle(declarations, t.left, env)
+        ]
+        if terminates_oracle(t.left, env):
+            out.extend(step_oracle(declarations, t.right, env))
+        return out
+    if isinstance(t, Star):
+        return [
+            (action, Seq(residual, t), new_env)
+            for action, residual, new_env in step_oracle(declarations, t.body, env)
+        ]
+    if isinstance(t, Par):
+        left_steps = step_oracle(declarations, t.left, env)
+        right_steps = step_oracle(declarations, t.right, env)
+        out = [
+            (action, Par(residual, t.right), new_env)
+            for action, residual, new_env in left_steps
+        ]
+        out.extend(
+            (action, Par(t.left, residual), new_env)
+            for action, residual, new_env in right_steps
+        )
+        for la, lt, le in left_steps:
+            for ra, rt, re_ in right_steps:
+                if la.channel != ra.channel:
+                    continue
+                shared = le.rho & re_.rho
+                if any(le.alpha[x] != re_.alpha[x] for x in shared):
+                    continue
+                merged = le.alpha.assign({x: re_.alpha[x] for x in re_.rho - le.rho})
+                action = Action(
+                    la.channel, la.senders + ra.senders, la.receivers + ra.receivers
+                )
+                out.append((action, Par(lt, rt), Environment(merged, le.rho | re_.rho)))
+        return out
+    raise TypeError(f"not a process term: {t!r}")
+
+
 def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
     """Breadth-first exploration keyed by the whole canonical term (deep
-    equality and hashing) plus the valuation object."""
-    engine = Engine(declarations)
+    equality and hashing) plus the valuation object, stepping with
+    ``step_oracle``."""
 
     def identity(conf):
         key = (canonical_oracle(conf.term), conf.env.alpha)
@@ -306,13 +401,14 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
     while queue:
         src = queue.popleft()
         conf = states[src]
-        if engine.terminates(conf):
+        if terminates_oracle(conf.term, conf.env):
             marked.add(src)
         outgoing = []
         seen_here = set()
-        steps = engine.step(conf)
+        steps = step_oracle(declarations, conf.term, conf.env)
         steps.sort(key=lambda step: step[0].sort_key())
-        for action, target in steps:
+        for action, term, env in steps:
+            target = Configuration(term, env)
             key = identity(target)
             dst = index.get(key)
             if dst is None:
@@ -604,7 +700,7 @@ def free_variables_oracle(t):
     if isinstance(t, (Deadlock, Termination)):
         return frozenset()
     if isinstance(t, Prefix):
-        out = t.update.domain() | free_variables_oracle(t.cont)
+        out = frozenset(name for name, _ in t.update) | free_variables_oracle(t.cont)
         for _, expr in t.update:
             out |= expr_variables(expr)
         return out

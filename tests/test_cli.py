@@ -29,6 +29,16 @@ plant P;
 requirement not (x = 2);
 """
 
+# two valuations where c is both allowed and disabled; which one the error
+# names must not depend on the hash seed
+TWO_CONFLICTS = """controllable a, b, c;
+var x : 1..3 = 1;
+var y : 1..2 = 1;
+process P = c?[x := 3].1 + a?.c?.1 + b?[y := 2].(c?[x := 3].1 + a?.c?.1);
+plant P;
+requirement not (x = 3);
+"""
+
 
 @pytest.fixture
 def agv(tmp_path):
@@ -163,21 +173,33 @@ class TestExplore:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def run_with_hash_seed(seed, *args):
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from cpd.cli import main; sys.exit(main())",
+         *args], env=env, capture_output=True, timeout=300)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["explore", "synth"])
     def test_json_output_does_not_depend_on_hash_seed(self, command, ppf):
         outputs = set()
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-            run = subprocess.run(
-                [sys.executable, "-c", "import sys; from cpd.cli import main; sys.exit(main())",
-                 command, "--format", "json", ppf],
-                env=env, capture_output=True, timeout=300, check=True)
+            run = run_with_hash_seed(seed, command, "--format", "json", ppf)
+            assert run.returncode == 0
             outputs.add(run.stdout)
         assert len(outputs) == 1
         assert json.loads(outputs.pop())
+
+    def test_observer_error_does_not_depend_on_hash_seed(self, tmp_path):
+        f = tmp_path / "conflicts.cpd"
+        f.write_text(TWO_CONFLICTS)
+        runs = [run_with_hash_seed(seed, "synth", str(f)) for seed in ("0", "2")]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stderr == runs[1].stderr
+        assert b"states 1 and 0" in runs[0].stderr
 
 
 class TestDeepTerms:
@@ -191,6 +213,14 @@ class TestDeepTerms:
         assert print_spec(parse(text, "deep.cpd")) == text
         assert main(["explore", str(f)]) == 0
         assert capsys.readouterr().out == "states 5001 transitions 5000 marked 1\n"
+
+    @pytest.mark.parametrize("body", [" + ".join(["u!.1"] * 2000), "1." * 2000 + "u!.1"],
+                             ids=["wide-sum", "long-seq-chain"])
+    def test_wide_sum_and_long_sequence_explore(self, body, tmp_path, capsys):
+        f = tmp_path / "wide.cpd"
+        f.write_text("uncontrollable u;\nprocess P = " + body + ";\nplant P;\n")
+        assert main(["explore", str(f)]) == 0
+        assert capsys.readouterr().out == "states 2 transitions 1 marked 1\n"
 
     @pytest.mark.parametrize("command", ["parse", "explore"])
     def test_deep_parentheses_are_resource_exhaustion(self, command, tmp_path,

@@ -1,8 +1,13 @@
 """Transition derivation, termination, synchronization, completion renaming."""
 
+import random
+
 import pytest
 
+import gen
+from cpd.control import operational_root, renamed_plant
 from cpd.errors import ModelError
+from cpd.models import load, model_names
 from cpd.printer import actionset_to_str, term_to_str
 from cpd.semantics import Configuration, Engine, xi_action_set, xi_rename
 from cpd.terms import (
@@ -15,6 +20,7 @@ from cpd.terms import (
     Declarations,
     EMPTY_UPDATE,
     Encap,
+    Environment,
     Guard,
     IntLit,
     IntRange,
@@ -27,9 +33,13 @@ from cpd.terms import (
     UpdateMap,
     VarRef,
     VariableDecl,
+    completed,
     receive,
     send,
 )
+from cpd.statespace import explore
+
+from oracles import step_oracle, terminates_oracle
 
 C = Channel("c", True)
 D = Channel("d", True)
@@ -254,3 +264,63 @@ class TestCompletionRenaming:
         r = xi_rename(inner)
         assert isinstance(r, Encap)
         assert actionset_to_str(r.blocked) == "{incomplete(c!, 2)}"
+
+
+def assert_engine_matches_oracle(declarations, term, env):
+    """Engine.step and Engine.terminates agree with the recursive oracles:
+    same actions, printed residuals, valuations and written sets, in the
+    same order."""
+    conf = Configuration(term, env)
+    e = Engine(declarations)
+    assert e.terminates(conf) == terminates_oracle(term, env)
+    got = [(a, term_to_str(c.term), c.env.alpha, c.env.rho) for a, c in e.step(conf)]
+    want = [(a, term_to_str(t), new_env.alpha, new_env.rho)
+            for a, t, new_env in step_oracle(declarations, term, env)]
+    assert got == want
+
+
+def random_blocked(rng):
+    """A blocked set over the relation alphabet, with incomplete patterns."""
+    channels = gen.REL_CHANNELS
+    actions = {Action(rng.choice(channels), m, n)
+               for m, n in rng.sample([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 2)],
+                                      rng.randrange(4))}
+    incomplete = {(rng.choice(channels), rng.randrange(1, 4)) for _ in range(rng.randrange(3))}
+    completed_incomplete = {(rng.choice(channels), rng.randrange(1, 4))
+                            for _ in range(rng.randrange(3))}
+    return ActionSet(frozenset(actions), frozenset(incomplete), frozenset(completed_incomplete))
+
+
+class TestEngineMatchesOracle:
+    def test_random_terms_under_every_valuation(self):
+        rng = random.Random(8128)
+        decls = gen.REL_DECLS
+        rho = decls.initial_environment().rho
+        for _ in range(2000):
+            term = gen.random_term(rng, rng.choice((3, 4)))
+            encapsulated = Encap(random_blocked(rng), term)
+            for alpha in decls.all_valuations():
+                env = Environment(alpha, rho)
+                assert_engine_matches_oracle(decls, term, env)
+                assert_engine_matches_oracle(decls, encapsulated, env)
+
+    @pytest.mark.parametrize("name", model_names())
+    def test_bundled_models(self, name):
+        spec = load(name)
+        for root in (operational_root(spec), renamed_plant(spec)):
+            ss = explore(root, spec.declarations)
+            for conf in ss.states:
+                assert_engine_matches_oracle(spec.declarations, conf.term, conf.env)
+
+    @pytest.mark.parametrize("term", [
+        pfx(receive(C), x=4),
+        Alt(pfx(send(U), y=2), Par(pfx(send(C), x=1), pfx(receive(C), x=0))),
+        Seq(pfx(completed(D), y=9), pfx(send(U), x=5)),
+    ], ids=["prefix", "sync", "seq"])
+    def test_out_of_domain_update_reports_the_same_error(self, term):
+        env = DECLS.initial_environment()
+        with pytest.raises(ModelError) as want:
+            step_oracle(DECLS, term, env)
+        with pytest.raises(ModelError) as got:
+            engine().step(Configuration(term, env))
+        assert str(got.value) == str(want.value)

@@ -281,6 +281,20 @@ class TestErrors:
             "guard for 'c' is not a function of the variables: states 1 and 0 "
             "carry the same valuation but only one of them may enable the channel")
 
+    def test_observer_error_names_the_first_conflict_in_bfs_order(self):
+        # c is allowed and disabled under x=1,y=1 (states 0, 1) and under
+        # x=1,y=2 (states 2, 5)
+        sp = parse(
+            "controllable a, b, c;\nvar x : 1..3 = 1;\nvar y : 1..2 = 1;\n"
+            "process P = c?[x := 3].1 + a?.c?.1\n"
+            "  + b?[y := 2].(c?[x := 3].1 + a?.c?.1);\nplant P;\n"
+            "requirement not (x = 3);\n", "t.cpd")
+        with pytest.raises(ObserverError) as exc:
+            synthesize(sp)
+        assert str(exc.value) == (
+            "guard for 'c' is not a function of the variables: states 1 and 0 "
+            "carry the same valuation but only one of them may enable the channel")
+
     def test_unsafe_initial_state(self):
         sp = parse(
             "uncontrollable u;\nvar x : 1..2 = 1;\n"

@@ -211,6 +211,14 @@ class TestDeclarations:
         assert len(vals) == 6
         assert len(set(v.values_tuple for v in vals)) == 6
 
+    def test_all_valuations_order_is_lexicographic(self):
+        vals = [v.values_tuple for v in self.decls().all_valuations()]
+        assert vals == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+    def test_no_variables_give_one_empty_valuation(self):
+        vals = list(Declarations(variables=(), channels=()).all_valuations())
+        assert [dict(v) for v in vals] == [{}]
+
     def test_render_value(self):
         d = self.decls()
         assert d.render_value("m", 2) == "on"
