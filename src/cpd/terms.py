@@ -538,17 +538,22 @@ def classify_supervisor(t: ProcessTerm) -> bool:
     return not supervisor_violations(t)
 
 
-def free_variables(t: ProcessTerm) -> frozenset[str]:
-    """Variables read by guards or updates, or written by updates."""
+def read_variables(t: ProcessTerm) -> frozenset[str]:
+    """Variables read by guards or by the expressions of updates."""
     out: set[str] = set()
     for s in subterms(t):
         if isinstance(s, Prefix):
-            for name, expr in s.update:
-                out.add(name)
+            for _, expr in s.update:
                 out |= expr_variables(expr)
         elif isinstance(s, Guard):
             out |= bool_variables(s.condition)
     return frozenset(out)
+
+
+def free_variables(t: ProcessTerm) -> frozenset[str]:
+    """Variables read by guards or updates, or written by updates."""
+    written = {name for s in subterms(t) if isinstance(s, Prefix) for name, _ in s.update}
+    return read_variables(t) | written
 
 
 # ---------------------------------------------------------------------------

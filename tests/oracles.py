@@ -23,7 +23,7 @@ from cpd.control import (
 from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.relations import partial_bisim
-from cpd.semantics import Configuration, xi_action_set
+from cpd.semantics import Configuration, Engine, xi_action_set
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
@@ -53,9 +53,11 @@ from cpd.terms import (
     VarRef,
     alt,
     bool_variables,
+    canonical_id,
     eval_bool,
     eval_data,
     expr_variables,
+    subterms,
 )
 
 
@@ -417,6 +419,70 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
                 dst = len(states)
                 index[key] = dst
                 states.append(target)
+                parents.append((src, action))
+                queue.append(dst)
+            edge = (action, dst)
+            if edge in seen_here:
+                continue
+            seen_here.add(edge)
+            outgoing.append(edge)
+        succ.append(outgoing)
+    return StateSpace(
+        declarations=declarations,
+        states=states,
+        initial=0,
+        marked=marked,
+        parents=parents,
+        succ=succ,
+    )
+
+
+def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
+    """The explorer that the component-vector ``explore`` replaced: each
+    state's whole term goes through ``Engine.derive``, and a successor is
+    keyed by the canonical id of its whole rebuilt term plus its values."""
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
+    engine = Engine(declarations)
+    for t in reversed(list(subterms(root.term))):
+        canonical_id(t)
+    root_key = (canonical_id(root.term), root.env.alpha.values_tuple)
+    if rho_in_identity:
+        root_key += (root.env.rho,)
+    states = [root]
+    index = {root_key: 0}
+    marked = set()
+    parents = [None]
+    succ = []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        conf = states[src]
+        alpha = conf.env.alpha
+        terminates, steps = engine.derive(conf.term, alpha)
+        if terminates:
+            marked.add(src)
+        outgoing = []
+        seen_here = set()
+        steps.sort(key=lambda step: step[0].sort_key())
+        for action, term, writes in steps:
+            values = alpha.assigned(writes)
+            key = (canonical_id(term), values)
+            if rho_in_identity:
+                key += (frozenset(writes),)
+            dst = index.get(key)
+            if dst is None:
+                if budget is not None and len(states) >= budget:
+                    trail = 0
+                    cur = src
+                    while parents[cur] is not None:
+                        cur = parents[cur][0]
+                        trail += 1
+                    raise BudgetError(budget, len(states), len(queue), trail)
+                dst = len(states)
+                index[key] = dst
+                env = Environment(alpha.with_values(values), frozenset(writes))
+                states.append(Configuration(term, env))
                 parents.append((src, action))
                 queue.append(dst)
             edge = (action, dst)

@@ -222,6 +222,18 @@ class TestDeepTerms:
         assert main(["explore", str(f)]) == 0
         assert capsys.readouterr().out == "states 2 transitions 1 marked 1\n"
 
+    def test_wide_parallel_composition_ends_in_the_budget(self, tmp_path, capsys):
+        # 500 one-step components on distinct channels reach 2^500 states;
+        # keying them must not hit the recursion limit before the budget
+        f = tmp_path / "wide.cpd"
+        names = [f"u{i}" for i in range(500)]
+        f.write_text("uncontrollable " + ", ".join(names) + ";\nprocess P = "
+                     + " || ".join(f"{n}!.1" for n in names) + ";\nplant P;\n")
+        assert main(["explore", str(f), "--budget", "10000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: state budget exceeded: more than 10000 states reachable "
+            "(reached 10000 states, frontier 9979, depth 1)\n")
+
     @pytest.mark.parametrize("command", ["parse", "explore"])
     def test_deep_parentheses_are_resource_exhaustion(self, command, tmp_path,
                                                       capsys):
