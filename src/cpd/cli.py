@@ -2,10 +2,9 @@
 
 Exit codes are a stable contract: 0 pass, 1 failed check or diagnostics,
 2 resource exhaustion (state budget, recursion depth, memory), 3 empty
-synthesis.  Process terms are walked without recursion; what can still reach
-the recursion limit is deeply nested parentheses or data or boolean
-expressions, and a wide ``||`` below a prefix, ``+`` or ``.``, which is
-stepped as one component.
+synthesis.  Process terms are walked without recursion along their spines;
+what can still reach the recursion limit is deeply nested parentheses, guard
+chains, and data or boolean expressions.
 """
 
 from __future__ import annotations

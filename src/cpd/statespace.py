@@ -7,9 +7,11 @@ at the top, and a tuple of components, the maximal subterms below it that
 are neither.  Steps never change the skeleton: a step of a ``Par`` rebuilds
 the ``Par`` around its parties' residuals, and a step of an ``Encap`` keeps
 its blocked set.  So a state is a vector of component terms plus the
-variable values.  A component whose residual is itself a ``Par`` stays one
-component, and ``Engine.derive`` steps it as a whole.  A root that is not a
-``Par`` or ``Encap`` is a single component.
+variable values.  The split is a ``semantics.Skeleton``, the one
+implementation of the ``||`` and ``encap`` rules, and ``explore`` keeps
+one per run.  A component whose residual is itself a ``Par`` stays one
+component; ``Engine.derive`` steps it through a skeleton of its own.  A
+root that is not a ``Par`` or ``Encap`` is a single component.
 
 A state's identity is (tuple of the components' canonical ids, tuple of
 variable values), plus the written set under ``rho_in_identity``.  The ids
@@ -19,19 +21,15 @@ this is the identity of the canonical form of the whole term.  Keying by
 the vector is the tree compression of Laarman, van de Pol & Weber,
 "Parallel recursive state compression for free" (SPIN 2011).
 
-Each component position has a step table.  Its key is the component term
-object plus the values of the variables that position's initial term reads
-in guards and update expressions; its entry is whether the component
-terminates and, for each step, the action, the values written and the
-residual with its canonical id.  Residuals come from the table, so the
+The skeleton keeps a step table per component position.  Its key is the
+component term object plus the values of the variables that position's
+initial term reads in guards and update expressions; its entry is whether
+the component terminates and, for each step, the action, the values
+written and the residual with its canonical id.  Residuals come from the table, so the
 same objects recur and the table hits for every state whose component and
-read values repeat.  A pass over the skeleton combines the entries bottom
-up with the rules of ``Engine.derive``: a ``Par`` gives its left steps,
-then its right steps, then the synchronizations of left and right steps on
-one channel, in (left, right) order, where the parties agree on the values
-of the names both write; an ``Encap`` drops the steps its blocked set
-holds.  A step carries the positions it changes, and ``explore`` applies
-them once per transition to key the target.
+read values repeat.  The skeleton pass combines the entries bottom up with
+the ``||`` and ``encap`` rules.  A step carries the positions it changes,
+and ``explore`` applies them once per transition to key the target.
 
 A stored state's term is the raw term the first step into it produced, so
 printed terms and numbering do not depend on the ids.  It is built when the
@@ -55,27 +53,10 @@ import json
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import BudgetError
-from .semantics import Configuration, Engine
-from .terms import (
-    Action,
-    Alt,
-    Channel,
-    Declarations,
-    Encap,
-    Environment,
-    Par,
-    Prefix,
-    ProcessTerm,
-    Seq,
-    Valuation,
-    canonical_id,
-    children,
-    read_variables,
-    subterms,
-)
+from .semantics import Configuration, Engine, Skeleton
+from .terms import Action, Declarations, Environment, canonical_id
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -143,9 +124,9 @@ def explore(
     states are reachable; the error says how far the search got."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    skeleton = _Skeleton(root.term, Engine(declarations), root.env.alpha)
+    skeleton = Skeleton(root.term, Engine(declarations), root.env.alpha)
     components = tuple(skeleton.components)
-    ids = tuple(map(_key_spine_tops, components))
+    ids = tuple(map(canonical_id, components))
     root_key = (ids, root.env.alpha.values_tuple)
     if rho_in_identity:
         root_key += (root.env.rho,)
@@ -214,202 +195,6 @@ def explore(
 
 def _action_order(step: tuple) -> tuple:
     return step[0].sort_key()
-
-
-def _key_spine_tops(t: ProcessTerm) -> int:
-    """``canonical_id(t)``, after keying the subterms of ``t`` children
-    first so that no call recurses into an uncached child.  Only spine tops
-    are keyed, not an ``Alt`` under an ``Alt`` or a ``Seq`` under a
-    ``Seq``: the top's normalization walks its whole spine, and keying every
-    inner node would walk each sub-spine again, quadratic on a long spine."""
-    tops: list[ProcessTerm] = []
-    stack: list[tuple[ProcessTerm, type | None]] = [(t, None)]
-    while stack:
-        s, above = stack.pop()
-        kind = type(s)
-        if kind is not above or kind not in (Alt, Seq):
-            tops.append(s)
-        stack.extend((c, kind) for c in children(s))
-    for s in reversed(tops):
-        canonical_id(s)
-    return canonical_id(t)
-
-
-# a step of the skeleton pass: its action, the values it writes, and the
-# (position, residual, residual id) of each component it changes
-VectorStep = tuple[Action, dict[str, int], tuple[tuple[int, ProcessTerm, int], ...]]
-
-
-class _Skeleton:
-    """The ``Par``/``Encap`` tree above a root's components, their step
-    tables, and the pass that combines table entries into a state's steps.
-
-    Nodes are numbered in pre-order, so a node's number is below its
-    children's.  ``nodes[k]`` is ``(Par, left, right, shared channels, memo
-    of synchronized actions)``, ``(Encap, body, blocked, memo of blocked
-    actions)`` or ``(None,)`` at a component.
-
-    Every action a step carries is one shared object per equal action, on
-    one shared object per equal channel, so the memos, the shared channel
-    sets and ``explore``'s edge set key actions and channels by identity."""
-
-    def __init__(self, term: ProcessTerm, engine: Engine, alpha: Valuation):
-        self.engine = engine
-        self.nodes: list[tuple] = [()]
-        self.components: list[ProcessTerm] = []
-        # each position's node
-        self.leaves: list[int] = []
-        # each position's route from the root: the field taken at each node
-        self.routes: list[tuple[str, ...]] = []
-        stack: list[tuple[ProcessTerm, int, tuple[str, ...]]] = [(term, 0, ())]
-        while stack:
-            t, k, route = stack.pop()
-            first = len(self.nodes)
-            if isinstance(t, Par):
-                self.nodes[k] = (Par, first, first + 1)
-                self.nodes += [(), ()]
-                stack.append((t.right, first + 1, route + ("right",)))
-                stack.append((t.left, first, route + ("left",)))
-            elif isinstance(t, Encap):
-                self.nodes[k] = (Encap, first, t.blocked, {})
-                self.nodes.append(())
-                stack.append((t.body, first, route + ("body",)))
-            else:
-                self.nodes[k] = (None,)
-                self.components.append(t)
-                self.leaves.append(k)
-                self.routes.append(route)
-
-        # the channels a subtree can ever step on, as one shared object per
-        # equal channel: residuals are built from subterms of the initial
-        # components, so a Par synchronizes only on channels both sides have
-        self.channels: dict[Channel, Channel] = {}
-        channels: list[set[int]] = [set() for _ in self.nodes]
-        for position, k in enumerate(self.leaves):
-            channels[k] = {id(self.channels.setdefault(s.action.channel, s.action.channel))
-                           for s in subterms(self.components[position])
-                           if isinstance(s, Prefix)}
-        for k in reversed(range(len(self.nodes))):
-            node = self.nodes[k]
-            if node[0] is Par:
-                channels[k] = channels[node[1]] | channels[node[2]]
-                self.nodes[k] = node + (channels[node[1]] & channels[node[2]], {})
-            elif node[0] is Encap:
-                channels[k] = channels[node[1]]
-        self.internal = [k for k in reversed(range(len(self.nodes)))
-                         if self.nodes[k][0] is not None]
-
-        # a step table per position, keyed by the component term object and
-        # the values of the variables the position's initial term reads;
-        # an entry keeps its term alive so that its id is not reused
-        order = {name: i for i, name in enumerate(alpha)}
-        self.reads = []
-        for component in self.components:
-            at = sorted(order[name] for name in read_variables(component) if name in order)
-            self.reads.append(itemgetter(*at) if at else _no_values)
-        self.tables: list[dict[tuple, tuple]] = [{} for _ in self.components]
-        self.actions: dict[Action, Action] = {}
-
-    def derive(self, components: tuple[ProcessTerm, ...],
-               alpha: Valuation) -> tuple[bool, list[VectorStep]]:
-        """The termination option and the steps of the state with these
-        components under ``alpha``, in ``Engine.derive``'s order."""
-        ends: list = [None] * len(self.nodes)
-        steps: list = [None] * len(self.nodes)
-        values = alpha.values_tuple
-        for position, component in enumerate(components):
-            key = (id(component), self.reads[position](values))
-            table = self.tables[position]
-            entry = table.get(key)
-            if entry is None:
-                entry = table[key] = self._entry(position, component, alpha)
-            k = self.leaves[position]
-            ends[k] = entry[1]
-            steps[k] = entry[2]
-        for k in self.internal:
-            node = self.nodes[k]
-            if node[0] is Par:
-                _, l, r, shared, synced = node
-                left, right = steps[l], steps[r]
-                ends[k] = ends[l] and ends[r]
-                out = left + right
-                if shared and left and right:
-                    self._synchronize(left, right, shared, synced, out)
-                steps[k] = out
-            else:
-                _, body, blocked, memo = node
-                ends[k] = ends[body]
-                out = []
-                for step in steps[body]:
-                    hit = memo.get(id(step[0]))
-                    if hit is None:
-                        hit = memo[id(step[0])] = step[0] in blocked
-                    if not hit:
-                        out.append(step)
-                steps[k] = out
-        return ends[0], steps[0]
-
-    def _synchronize(self, left: list[VectorStep], right: list[VectorStep],
-                     shared: set[int], synced: dict[tuple[int, int], Action],
-                     out: list[VectorStep]) -> None:
-        """Append the synchronizations of left and right steps on a shared
-        channel, in (left, right) order, where the parties agree on the
-        values of the names both write."""
-        partners: dict[int, list[VectorStep]] = {}
-        for step in right:
-            channel = id(step[0].channel)
-            if channel in shared:
-                partners.setdefault(channel, []).append(step)
-        if not partners:
-            return
-        for la, lw, lc in left:
-            for ra, rw, rc in partners.get(id(la.channel), ()):
-                if any(rw.get(name, value) != value for name, value in lw.items()):
-                    continue
-                action = synced.get((id(la), id(ra)))
-                if action is None:
-                    action = synced[id(la), id(ra)] = self._canonical(Action(
-                        la.channel, la.senders + ra.senders, la.receivers + ra.receivers))
-                out.append((action, {**lw, **rw}, lc + rc))
-
-    def _entry(self, position: int, component: ProcessTerm, alpha: Valuation) -> tuple:
-        ends, steps = self.engine.derive(component, alpha)
-        return component, ends, [
-            (self._canonical(action), writes, ((position, residual, canonical_id(residual)),))
-            for action, residual, writes in steps]
-
-    def _canonical(self, action: Action) -> Action:
-        """The shared object equal to ``action``."""
-        out = self.actions.get(action)
-        if out is None:
-            channel = self.channels[action.channel]
-            out = self.actions[action] = (
-                action if channel is action.channel
-                else Action(channel, action.senders, action.receivers))
-        return out
-
-    def rebuild(self, term: ProcessTerm,
-                changes: tuple[tuple[int, ProcessTerm, int], ...]) -> ProcessTerm:
-        """``term`` with the changed components replaced: the nodes on the
-        paths from the root to them are new, every other subtree is shared."""
-        for position, residual, _ in changes:
-            above = []
-            for name in self.routes[position]:
-                above.append(term)
-                term = getattr(term, name)
-            term = residual
-            for name, t in zip(reversed(self.routes[position]), reversed(above)):
-                if name == "body":
-                    term = Encap(t.blocked, term)
-                elif name == "left":
-                    term = Par(term, t.right)
-                else:
-                    term = Par(t.left, term)
-        return term
-
-
-def _no_values(values: tuple[int, ...]) -> tuple[()]:
-    return ()
 
 
 def backward_closure(pred: list[list[int]], seeds: Iterable[int]) -> set[int]:

@@ -391,11 +391,30 @@ _TERMINATION_ID = _intern((Termination,))
 
 def canonical_id(t: ProcessTerm) -> int:
     """Interned id of the canonical form of ``t``: equal exactly for terms
-    with equal canonical forms within one process."""
+    with equal canonical forms within one process.
+
+    On a cache miss the uncached spine tops below ``t`` are normalized
+    children first, so no normalization meets an uncached child and none
+    recurses.  An ``Alt`` under an ``Alt`` or a ``Seq`` under a ``Seq`` is
+    no top: the top's normalization walks its whole spine, and keying every
+    inner node would walk each sub-spine again, quadratic on a long spine."""
     cid = t.__dict__.get("_cid")
     if cid is None:
-        cid = _normalize(t)
-        object.__setattr__(t, "_cid", cid)
+        tops: list[ProcessTerm] = []
+        stack: list[tuple[ProcessTerm, type | None]] = [(t, None)]
+        while stack:
+            s, above = stack.pop()
+            if "_cid" in s.__dict__:
+                continue
+            kind = type(s)
+            if kind is not above or kind not in (Alt, Seq):
+                tops.append(s)
+            stack.extend((c, kind) for c in children(s))
+        for s in reversed(tops):
+            # a shared subterm is a top once per occurrence
+            if "_cid" not in s.__dict__:
+                object.__setattr__(s, "_cid", _normalize(s))
+        cid = t._cid
     return cid
 
 

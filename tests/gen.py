@@ -9,6 +9,8 @@ from cpd.parser import SystemSpec
 from cpd.semantics import Configuration
 from cpd.statespace import explore
 from cpd.terms import (
+    Action,
+    ActionSet,
     Alt,
     And,
     Channel,
@@ -16,6 +18,7 @@ from cpd.terms import (
     DEADLOCK,
     Declarations,
     EMPTY_UPDATE,
+    Encap,
     EventImplies,
     Guard,
     IntLit,
@@ -85,6 +88,35 @@ def random_term(rng: random.Random, depth: int = 3):
     if roll < 9:
         return Star(random_term(rng, depth - 2))
     return Par(random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def random_blocked(rng: random.Random) -> ActionSet:
+    """A blocked set over the relation alphabet, with incomplete patterns."""
+    channels = REL_CHANNELS
+    actions = {Action(rng.choice(channels), m, n)
+               for m, n in rng.sample([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 2)],
+                                      rng.randrange(4))}
+    incomplete = {(rng.choice(channels), rng.randrange(1, 4)) for _ in range(rng.randrange(3))}
+    completed_incomplete = {(rng.choice(channels), rng.randrange(1, 4))
+                            for _ in range(rng.randrange(3))}
+    return ActionSet(frozenset(actions), frozenset(incomplete), frozenset(completed_incomplete))
+
+
+def random_nested_encap(rng: random.Random, depth: int = 2):
+    """An encapsulated ``||`` below a prefix, ``+`` or ``.``, in parallel
+    with a term the outer ``||`` may synchronize it with.  ``random_term``
+    never builds an ``Encap``."""
+    inner = Encap(random_blocked(rng), Par(random_term(rng, depth), random_term(rng, depth)))
+    roll = rng.randrange(4)
+    if roll == 0:
+        inner = Prefix(_rel_action(rng), EMPTY_UPDATE, inner)
+    elif roll == 1:
+        inner = Alt(random_term(rng, depth), inner)
+    elif roll == 2:
+        inner = Seq(inner, random_term(rng, depth))
+    else:
+        inner = Seq(random_term(rng, depth), inner)
+    return Par(inner, random_term(rng, depth))
 
 
 def random_small_space(rng: random.Random, max_states: int = 6):

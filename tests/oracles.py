@@ -23,7 +23,7 @@ from cpd.control import (
 from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.relations import partial_bisim
-from cpd.semantics import Configuration, Engine, xi_action_set
+from cpd.semantics import Configuration, xi_action_set
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import VerificationReport, integrate_supervisor
 from cpd.terms import (
@@ -437,13 +437,90 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
     )
 
 
+def derive_reference(declarations, t, alpha):
+    """``Engine.derive`` as it was before the ``||`` and ``encap`` rules
+    moved into ``semantics.Skeleton``: one walk for the termination option
+    and the steps ``(action, residual, writes)``, which recurses along
+    ``Par`` and ``Encap`` nodes as well."""
+    if isinstance(t, Par):
+        left_ends, left = derive_reference(declarations, t.left, alpha)
+        right_ends, right = derive_reference(declarations, t.right, alpha)
+        out = [(action, Par(residual, t.right), writes) for action, residual, writes in left]
+        out.extend((action, Par(t.left, residual), writes)
+                   for action, residual, writes in right)
+        for la, lt, lw in left:
+            for ra, rt, rw in right:
+                # parties synchronize when they agree on the names both write
+                if la.channel != ra.channel or any(
+                        rw.get(name, value) != value for name, value in lw.items()):
+                    continue
+                action = Action(
+                    la.channel, la.senders + ra.senders, la.receivers + ra.receivers
+                )
+                out.append((action, Par(lt, rt), {**lw, **rw}))
+        return left_ends and right_ends, out
+    if isinstance(t, Encap):
+        ends, steps = derive_reference(declarations, t.body, alpha)
+        return ends, [(action, Encap(t.blocked, residual), writes)
+                      for action, residual, writes in steps if action not in t.blocked]
+    if isinstance(t, Prefix):
+        writes = {}
+        for name, expr in t.update:
+            value = eval_data(alpha, expr)
+            domain = declarations.var_map[name].domain
+            if value not in domain:
+                raise ModelError(
+                    f"update of '{name}' to {value} leaves domain {domain} "
+                    f"on action {t.action}"
+                )
+            writes[name] = value
+        return False, [(t.action, t.cont, writes)]
+    if isinstance(t, Guard):
+        if eval_bool(alpha, t.condition):
+            return derive_reference(declarations, t.body, alpha)
+        return False, []
+    if isinstance(t, Alt):
+        ends = False
+        out = []
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, Alt):
+                stack.append(s.right)
+                stack.append(s.left)
+            else:
+                summand_ends, steps = derive_reference(declarations, s, alpha)
+                ends = ends or summand_ends
+                out.extend(steps)
+        return ends, out
+    if isinstance(t, Seq):
+        out = []
+        while isinstance(t, Seq):
+            left_ends, steps = derive_reference(declarations, t.left, alpha)
+            out.extend((action, Seq(residual, t.right), writes)
+                       for action, residual, writes in steps)
+            if not left_ends:
+                return False, out
+            t = t.right
+        ends, steps = derive_reference(declarations, t, alpha)
+        out.extend(steps)
+        return ends, out
+    if isinstance(t, Star):
+        steps = derive_reference(declarations, t.body, alpha)[1]
+        return True, [(action, Seq(residual, t), writes) for action, residual, writes in steps]
+    if isinstance(t, Termination):
+        return True, []
+    if isinstance(t, Deadlock):
+        return False, []
+    raise TypeError(f"not a process term: {t!r}")
+
+
 def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
     """The explorer that the component-vector ``explore`` replaced: each
-    state's whole term goes through ``Engine.derive``, and a successor is
+    state's whole term goes through ``derive_reference``, and a successor is
     keyed by the canonical id of its whole rebuilt term plus its values."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    engine = Engine(declarations)
     for t in reversed(list(subterms(root.term))):
         canonical_id(t)
     root_key = (canonical_id(root.term), root.env.alpha.values_tuple)
@@ -459,7 +536,7 @@ def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity
         src = queue.popleft()
         conf = states[src]
         alpha = conf.env.alpha
-        terminates, steps = engine.derive(conf.term, alpha)
+        terminates, steps = derive_reference(declarations, conf.term, alpha)
         if terminates:
             marked.add(src)
         outgoing = []

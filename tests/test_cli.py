@@ -234,6 +234,25 @@ class TestDeepTerms:
             "error: state budget exceeded: more than 10000 states reachable "
             "(reached 10000 states, frontier 9979, depth 1)\n")
 
+    def test_wide_parallel_composition_below_a_prefix_explores(self, tmp_path, capsys):
+        # the || is one component, stepped and keyed along its 2,000-part spine
+        f = tmp_path / "wide.cpd"
+        f.write_text("uncontrollable a, u0;\nprocess P = a!.(u0!.1" + " || 1" * 1999
+                     + ");\nplant P;\n")
+        assert main(["explore", str(f)]) == 0
+        assert capsys.readouterr().out == "states 3 transitions 2 marked 1\n"
+
+    def test_wide_parallel_composition_below_a_prefix_ends_in_the_budget(self, tmp_path,
+                                                                          capsys):
+        f = tmp_path / "wide.cpd"
+        names = [f"u{i}" for i in range(600)]
+        f.write_text("uncontrollable a, " + ", ".join(names) + ";\nprocess P = a!.("
+                     + " || ".join(f"{n}!.1" for n in names) + ");\nplant P;\n")
+        assert main(["explore", str(f), "--budget", "100"]) == 2
+        assert capsys.readouterr().err == (
+            "error: state budget exceeded: more than 100 states reachable "
+            "(reached 100 states, frontier 98, depth 1)\n")
+
     @pytest.mark.parametrize("command", ["parse", "explore"])
     def test_deep_parentheses_are_resource_exhaustion(self, command, tmp_path,
                                                       capsys):

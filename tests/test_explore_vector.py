@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gen
-from cpd import statespace, terms
+from cpd import semantics, statespace, terms
 from cpd.control import renamed_plant, supervised_plant
 from cpd.errors import BudgetError, ModelError
 from cpd.models import load
@@ -111,6 +111,39 @@ def test_repeated_components_and_multiparty_syncs(rho):
     assert_explores_like_reference(renamed_plant(spec), spec.declarations, rho)
 
 
+@RHO
+def test_random_nested_encapsulation(rho):
+    # an encapsulated || below a prefix, + or ., in parallel with a term it
+    # may synchronize with: a component that Engine.derive steps through a
+    # skeleton of its own
+    rng = random.Random(4099)
+    for depth in (1, 2, 3):
+        for _ in range(60):
+            root = Configuration(gen.random_nested_encap(rng, depth),
+                                 gen.REL_DECLS.initial_environment())
+            assert_explores_like_reference(root, gen.REL_DECLS, rho, budget=300)
+
+
+NESTED = """uncontrollable u, v, c;
+var x : 1..3 = 1;
+process P = u![x := 2].encap {c?} (c?[x := 3].1 || v!.1) + (encap {c?} (c?.1)).v!.1;
+process Q = c!.1;
+process R = P || Q;
+plant R;
+"""
+
+
+@RHO
+def test_nested_encapsulation_blocks_an_outer_synchronization(rho):
+    # Q's c! would synchronize with the c? below u!, but the inner blocked
+    # set removes it; the c? below + and . is blocked the same way
+    spec = parse(NESTED)
+    root = renamed_plant(spec)
+    assert_explores_like_reference(root, spec.declarations, rho)
+    space = explore(root, spec.declarations)
+    assert {action.format() for _, action, _ in space.transitions} == {"u!", "v!", "c!"}
+
+
 DOMAIN_ERROR = """uncontrollable u, v;
 var x : 1..2 = 2;
 var y : 1..2 = 2;
@@ -169,6 +202,7 @@ def count_keying_calls(monkeypatch, root):
     monkeypatch.setattr(terms, "_normalize", counting_normalize)
     monkeypatch.setattr(terms, "canonical_id", counting_canonical_id)
     monkeypatch.setattr(statespace, "canonical_id", counting_canonical_id)
+    monkeypatch.setattr(semantics, "canonical_id", counting_canonical_id)
     assert len(explore(root, gen.REL_DECLS)) == 2
     return calls
 

@@ -18,13 +18,19 @@ from cpd.semantics import Configuration
 from cpd.statespace import explore
 from cpd.synthesis import analyze
 from cpd.terms import (
+    ActionSet,
     Alt,
     Channel,
     DEADLOCK,
     EMPTY_UPDATE,
+    Encap,
+    Guard,
+    Par,
     Prefix,
     Seq,
+    Star,
     TERMINATION,
+    TRUE,
     canonical_id,
     send,
 )
@@ -81,6 +87,27 @@ class TestCanonicalIds:
             flat = Alt(Alt(a, b), c)
             assert canonical_id(nested) != canonical_id(flat)
             assert_ids_match_oracle([nested, flat])
+
+    def test_deep_unkeyed_chain_is_keyed_without_recursion(self):
+        # 5,000 nodes cycling through Par, Encap, Guard and Star, none keyed
+        def chain():
+            t = A
+            for i in range(5000):
+                kind = i % 4
+                if kind == 0:
+                    t = Par(t, B)
+                elif kind == 1:
+                    t = Encap(ActionSet(actions=(send(Channel("a", True)),)), t)
+                elif kind == 2:
+                    t = Guard(TRUE, t)
+                else:
+                    t = Star(t)
+            return t
+
+        first, second = chain(), chain()
+        assert "_cid" not in first.__dict__
+        assert canonical_id(first) == canonical_id(second)
+        assert canonical_id(first) != canonical_id(first.body)
 
     def test_cache_is_invisible_to_equality_and_repr(self):
         t = Alt(B, A)

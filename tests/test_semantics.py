@@ -279,18 +279,6 @@ def assert_engine_matches_oracle(declarations, term, env):
     assert got == want
 
 
-def random_blocked(rng):
-    """A blocked set over the relation alphabet, with incomplete patterns."""
-    channels = gen.REL_CHANNELS
-    actions = {Action(rng.choice(channels), m, n)
-               for m, n in rng.sample([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 2)],
-                                      rng.randrange(4))}
-    incomplete = {(rng.choice(channels), rng.randrange(1, 4)) for _ in range(rng.randrange(3))}
-    completed_incomplete = {(rng.choice(channels), rng.randrange(1, 4))
-                            for _ in range(rng.randrange(3))}
-    return ActionSet(frozenset(actions), frozenset(incomplete), frozenset(completed_incomplete))
-
-
 class TestEngineMatchesOracle:
     def test_random_terms_under_every_valuation(self):
         rng = random.Random(8128)
@@ -298,11 +286,43 @@ class TestEngineMatchesOracle:
         rho = decls.initial_environment().rho
         for _ in range(2000):
             term = gen.random_term(rng, rng.choice((3, 4)))
-            encapsulated = Encap(random_blocked(rng), term)
+            encapsulated = Encap(gen.random_blocked(rng), term)
             for alpha in decls.all_valuations():
                 env = Environment(alpha, rho)
                 assert_engine_matches_oracle(decls, term, env)
                 assert_engine_matches_oracle(decls, encapsulated, env)
+
+    def test_encapsulation_below_prefix_sum_and_sequence(self):
+        # the term and the residuals of its first three steps, so that each
+        # encapsulated || is also stepped once its prefix or . is gone
+        rng = random.Random(4099)
+        decls = gen.REL_DECLS
+        rho = decls.initial_environment().rho
+        for _ in range(300):
+            frontier = [gen.random_nested_encap(rng, rng.choice((1, 2)))]
+            for _ in range(3):
+                residuals = []
+                for term in frontier:
+                    for alpha in decls.all_valuations():
+                        env = Environment(alpha, rho)
+                        assert_engine_matches_oracle(decls, term, env)
+                        residuals += [t for _, t, _ in step_oracle(decls, term, env)]
+                frontier = residuals[:20]
+
+    def test_inner_encapsulation_removes_an_outer_synchronization(self):
+        # u!.encap {c?} (c?.1 || d!.1) || c!.1: after u!, the outer || would
+        # synchronize c! with c?, but the inner blocked set removed c?
+        inner = Encap(ActionSet(actions=(receive(C),)), Par(pfx(receive(C)), pfx(send(D))))
+        env = DECLS.initial_environment()
+        for term in (Par(pfx(send(U), inner), pfx(send(C))),
+                     Par(inner, pfx(send(C))),
+                     Alt(inner, pfx(send(U))),
+                     Seq(inner, pfx(send(U)))):
+            assert_engine_matches_oracle(DECLS, term, env)
+        e = engine()
+        assert labels(e.step(Configuration(Par(inner, pfx(send(C))), env))) == ["c!", "d!"]
+        assert labels(e.step(Configuration(Par(inner.body, pfx(send(C))), env))) == [
+            "c!", "c!?", "c?", "d!"]
 
     @pytest.mark.parametrize("name", model_names())
     def test_bundled_models(self, name):
