@@ -12,13 +12,31 @@ witness relation intersected with the product-reachable set is still closed
 under all three clauses (matching steps keep pairs product-reachable), so the
 verdict equals the all-pairs fixpoint while the pair set stays near-linear in
 practice.
+
+Each call numbers the distinct actions it meets, in both spaces, and works
+on those indices: a state's table maps an action index to its targets in
+edge order, and B is a list of booleans with one predicate call per distinct
+action.  A state's table is built the first time the product BFS reaches the
+state, so a plant much larger than the supervised space it is compared with
+is only read where the product goes.  The BFS numbers each pair in discovery
+order and stores no predecessor lists.  When a pair is removed, its parents
+are found on demand: the discovered pairs with an edge on a common action
+into it, sorted by discovery number.  The reverse tables this reads are
+built once, from the forward tables, at the first removal.
+
+The removal order is kept exactly, because the counterexample depends on
+it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
+iteration order of the set of all pairs added in discovery order.  A removed
+pair schedules its parents in discovery order, which is the order a BFS that
+stored each pair's predecessors would list them in.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import filterfalse, product
+from typing import Callable
 
 from .statespace import StateSpace
 from .terms import Action
@@ -30,7 +48,8 @@ def action_predicate(bisim_actions: BisimActions) -> Callable[[Action], bool]:
     """Normalize an action-set argument: a predicate, a collection of
     actions, or one of the shorthands 'all', 'none', 'uncontrollable'.  A
     collection member that is not an ``Action``, such as a channel name,
-    raises ``ValueError``."""
+    raises ``ValueError``.  ``partial_bisim`` calls the predicate once per
+    distinct action of the two spaces' reached states, not once per edge."""
     if callable(bisim_actions):
         return bisim_actions
     if isinstance(bisim_actions, str):
@@ -108,59 +127,79 @@ class RelationResult:
     direction: str = "forward"
 
 
-def _succ_by_action(ss: StateSpace) -> list[dict[Action, list[int]]]:
-    out: list[dict[Action, list[int]]] = []
-    for edges in ss.succ:
-        table: dict[Action, list[int]] = {}
-        for action, dst in edges:
-            table.setdefault(action, []).append(dst)
-        out.append(table)
-    return out
+def _tables(ss: StateSpace, action_ids: dict[Action, int]):
+    """The per-state tables of ``ss`` built so far, and the function that
+    returns a state's ``{action index: [targets]}`` table, building it in
+    edge order on first use.  A new action gets the next index in
+    ``action_ids``."""
+    succ = ss.succ
+    built: dict[int, dict[int, list[int]]] = {}
+
+    def table(state: int) -> dict[int, list[int]]:
+        out = built.get(state)
+        if out is None:
+            out = built[state] = {}
+            for action, dst in succ[state]:
+                a = action_ids.setdefault(action, len(action_ids))
+                targets = out.get(a)
+                if targets is None:
+                    out[a] = [dst]
+                else:
+                    targets.append(dst)
+        return out
+
+    return built, table
+
+
+def _reverse(built: dict[int, dict[int, list[int]]]) -> dict[int, dict[int, list[int]]]:
+    """``{target: {action index: [sources]}}`` over the built tables."""
+    rev: dict[int, dict[int, list[int]]] = {}
+    for src, table in built.items():
+        for a, targets in table.items():
+            for dst in targets:
+                rev.setdefault(dst, {}).setdefault(a, []).append(src)
+    return rev
 
 
 def partial_bisim(
     left: StateSpace, right: StateSpace, bisim_actions: BisimActions = "all"
 ) -> RelationResult:
     """Greatest partial bisimulation over product-reachable pairs; holds iff
-    the two initial states are related."""
-    in_b = action_predicate(bisim_actions)
-    lsucc = _succ_by_action(left)
-    rsucc = _succ_by_action(right)
+    the two initial states are related.  The action-set predicate is called
+    once per distinct action of the states the product reaches, not once per
+    edge."""
+    pred = action_predicate(bisim_actions)
+    action_ids: dict[Action, int] = {}
+    lbuilt, ltable_of = _tables(left, action_ids)
+    rbuilt, rtable_of = _tables(right, action_ids)
 
+    # product BFS; a pair's discovery index is its position in order
     root = (left.initial, right.initial)
-    pairs: set[tuple[int, int]] = {root}
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
-    queue = deque([root])
-    while queue:
-        i, j = queue.popleft()
-        ltable = lsucc[i]
-        rtable = rsucc[j]
-        for action, ltargets in ltable.items():
-            rtargets = rtable.get(action)
-            if rtargets is None:
-                continue
-            for li in ltargets:
-                for rj in rtargets:
-                    child = (li, rj)
-                    if child not in pairs:
-                        pairs.add(child)
-                        preds[child] = []
-                        queue.append(child)
-                    preds[child].append((i, j))
+    index: dict[tuple[int, int], int] = {root: 0}
+    order = [root]
+    for i, j in order:
+        rtable = rtable_of(j)
+        for a, ltargets in ltable_of(i).items():
+            rtargets = rtable.get(a)
+            if rtargets is not None:
+                for child in filterfalse(index.__contains__, product(ltargets, rtargets)):
+                    index[child] = len(order)
+                    order.append(child)
+    actions = list(action_ids)
+    in_b = [pred(action) for action in actions]
 
     # clause, action, continuation pair (already removed) or None
     reason: dict[tuple[int, int], tuple[int, Action | None, tuple[int, int] | None]] = {}
     removed_at: dict[tuple[int, int], int] = {}
     alive: set[tuple[int, int]] = set()
-    removal_clock = 0
 
     def remove(pair, why) -> None:
-        nonlocal removal_clock
         reason[pair] = why
-        removed_at[pair] = removal_clock
-        removal_clock += 1
+        removed_at[pair] = len(removed_at)
 
-    for pair in pairs:
+    # the worklist starts in this set's iteration order, which the
+    # counterexample depends on: set(order) adds the pairs one by one
+    for pair in set(order):
         i, j = pair
         if (i in left.marked) != (j in right.marked):
             remove(pair, (1, None, None))
@@ -170,10 +209,10 @@ def partial_bisim(
     def violation(pair):
         """First violated clause at the pair, or None while it is satisfied."""
         i, j = pair
-        ltable = lsucc[i]
-        rtable = rsucc[j]
-        for action, ltargets in ltable.items():
-            rtargets = rtable.get(action, ())
+        ltable = lbuilt[i]
+        rtable = rbuilt[j]
+        for a, ltargets in ltable.items():
+            rtargets = rtable.get(a, ())
             for li in ltargets:
                 dead = []
                 for rj in rtargets:
@@ -182,11 +221,11 @@ def partial_bisim(
                     dead.append((li, rj))
                 else:
                     cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (2, action, cont)
-        for action, rtargets in rtable.items():
-            if not in_b(action):
+                    return (2, actions[a], cont)
+        for a, rtargets in rtable.items():
+            if not in_b[a]:
                 continue
-            ltargets = ltable.get(action, ())
+            ltargets = ltable.get(a, ())
             for rj in rtargets:
                 dead = []
                 for li in ltargets:
@@ -195,8 +234,26 @@ def partial_bisim(
                     dead.append((li, rj))
                 else:
                     cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (3, action, cont)
+                    return (3, actions[a], cont)
         return None
+
+    # reverse tables {target: {action index: [sources]}}, left and right,
+    # built from the forward tables on the first removal
+    reverse: list[dict[int, dict[int, list[int]]]] = []
+
+    def parents(pair) -> list[tuple[int, int]]:
+        """Discovered pairs with a common-action edge into the pair, in
+        discovery order: the order the BFS met them as parents."""
+        if not reverse:
+            reverse.extend((_reverse(lbuilt), _reverse(rbuilt)))
+        lin = reverse[0].get(pair[0], {})
+        rin = reverse[1].get(pair[1], {})
+        found: set[tuple[int, int]] = set()
+        for a, lsrc in lin.items():
+            rsrc = rin.get(a)
+            if rsrc is not None:
+                found.update(filter(index.__contains__, product(lsrc, rsrc)))
+        return sorted(found, key=index.__getitem__)
 
     worklist = deque(alive)
     scheduled = set(worklist)
@@ -210,7 +267,7 @@ def partial_bisim(
             continue
         alive.discard(pair)
         remove(pair, why)
-        for parent in preds[pair]:
+        for parent in parents(pair):
             if parent in alive and parent not in scheduled:
                 worklist.append(parent)
                 scheduled.add(parent)

@@ -163,17 +163,21 @@ def _eliminate_variables(
     declarations: Declarations, on: set[tuple], off: set[tuple]
 ) -> list[int]:
     """Indices of variables that are needed to separate on from off;
-    the others never distinguish the two sets."""
-    keep = list(range(len(declarations.variables)))
-    changed = True
-    while changed:
-        changed = False
-        for drop in list(keep):
-            trial = [i for i in keep if i != drop]
-            if not (_project(on, trial) & _project(off, trial)):
-                keep = trial
-                changed = True
-                break
+    the others never distinguish the two sets.  One pass in variable order
+    drops each variable whose removal keeps the projected sets apart, and
+    projects the already-projected sets.  Projection only merges points, so
+    a variable kept once could never be dropped later: the pass keeps the
+    same set as rescanning after every drop."""
+    keep: list[int] = []
+    for var in range(len(declarations.variables)):
+        # the points hold the kept variables, then var and those after it
+        at = len(keep)
+        on_rest = {p[:at] + p[at + 1:] for p in on}
+        off_rest = {p[:at] + p[at + 1:] for p in off}
+        if on_rest & off_rest:
+            keep.append(var)
+        else:
+            on, off = on_rest, off_rest
     return keep
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+from cpd.control import operational_root
 from cpd.errors import BudgetError
-from cpd.parser import SystemSpec
+from cpd.parser import SystemSpec, parse
 from cpd.semantics import Configuration
 from cpd.statespace import explore
 from cpd.terms import (
@@ -128,6 +129,78 @@ def random_small_space(rng: random.Random, max_states: int = 6):
             return explore(root, REL_DECLS, budget=max_states)
         except BudgetError:
             continue
+
+
+def _chain(actions, copies, end):
+    """``actions[0]`` then ... then ``actions[-1]`` then ``end``; each step
+    has one summand per value in ``copies``, setting x to that value."""
+    term = end
+    for action in reversed(actions):
+        steps = [Prefix(action, UpdateMap((("x", IntLit(v)),)), term) for v in copies]
+        term = steps[0] if len(steps) == 1 else Alt(steps[0], steps[1])
+    return term
+
+
+def deep_failing_pair(rng: random.Random, depth: int):
+    """Explored spaces of two closed terms that agree on a chain of
+    ``depth`` random steps and differ only after it: in termination, in the
+    last step, or by one extra step on either side.  Each side's steps set
+    x to 1, to 2 or both, so a product pair on the chain has up to four
+    parents and a failure at the end cascades through all of them back to
+    the root: a failing play has ``depth + 1`` moves."""
+    actions = [_rel_action(rng) for _ in range(depth)]
+    last, other = rng.sample([send(c) for c in REL_CHANNELS], 2)
+    left_end, right_end = rng.choice((
+        (TERMINATION, DEADLOCK),
+        (DEADLOCK, TERMINATION),
+        (Prefix(last, EMPTY_UPDATE, TERMINATION), Prefix(other, EMPTY_UPDATE, TERMINATION)),
+        (TERMINATION, Alt(TERMINATION, Prefix(last, EMPTY_UPDATE, TERMINATION))),
+        (Alt(TERMINATION, Prefix(last, EMPTY_UPDATE, TERMINATION)), TERMINATION),
+    ))
+    spaces = []
+    for end in (left_end, right_end):
+        copies = rng.choice(((1,), (2,), (1, 2), (2, 1)))
+        term = _chain(actions, copies, end)
+        root = Configuration(term, REL_DECLS.initial_environment())
+        spaces.append(explore(root, REL_DECLS))
+    return tuple(spaces)
+
+
+# ---------------------------------------------------------------------------
+# a data-heavy cell: few process terms, many valuations
+
+DENSE_VARIABLES = ("x1", "x2", "x3", "x4")
+
+
+def dense_spaces(rng: random.Random):
+    """Explored (guarded, unguarded) plants of a data-heavy cell: four
+    variables over 1..3 (81 valuations), an uncontrollable process whose
+    twelve ``u!`` setters set any variable to any value, and a process
+    offering the controllable commands ``g1..g4``.  In the guarded plant
+    each command is guarded by a random cube over one or two variables, as
+    a synthesized supervisor would restrict it."""
+    cubes = []
+    for _ in range(4):
+        support = sorted(rng.sample(DENSE_VARIABLES, rng.randint(1, 2)))
+        cubes.append(" /\\ ".join(f"{v} = {rng.randint(1, 3)}" for v in support))
+    setters = " + ".join(f"u![{v} := {k}].1" for v in DENSE_VARIABLES for k in (1, 2, 3))
+    out = []
+    for guarded in (True, False):
+        commands = " + ".join(
+            (f"({cube}) -> " if guarded else "") + f"g{j}?.1"
+            for j, cube in enumerate(cubes, 1))
+        text = "\n".join([
+            "controllable g1, g2, g3, g4;",
+            "uncontrollable u;",
+            *(f"var {v} : 1..3 = 1;" for v in DENSE_VARIABLES),
+            f"process Env = ({setters} + 1)*;",
+            f"process Ctl = ({commands} + 1)*;",
+            "process Cell = Env || Ctl;",
+            "plant Cell;",
+        ]) + "\n"
+        spec = parse(text, "dense.cpd")
+        out.append(explore(operational_root(spec), spec.declarations))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

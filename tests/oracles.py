@@ -22,22 +22,42 @@ from cpd.control import (
 )
 from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
-from cpd.relations import partial_bisim
+from cpd.relations import (
+    BisimActions,
+    Counterexample,
+    PlayStep,
+    RelationResult,
+    action_predicate,
+    partial_bisim,
+)
 from cpd.semantics import Configuration, xi_action_set
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
-from cpd.synthesis import VerificationReport, integrate_supervisor
+from cpd.synthesis import (
+    _CUBE_LIMIT,
+    VerificationReport,
+    _exact_cover,
+    _exact_primes,
+    _expanded_primes,
+    _project,
+    _render_cubes,
+    _subsets,
+    integrate_supervisor,
+)
 from cpd.terms import (
     Action,
     Alt,
     And,
     BinOp,
+    BoolExpr,
     BoolLit,
     Cmp,
     Deadlock,
+    Declarations,
     Encap,
     EnumConst,
     Environment,
     EventImplies,
+    FALSE,
     Guard,
     Imp,
     IntLit,
@@ -49,7 +69,9 @@ from cpd.terms import (
     Seq,
     Star,
     TERMINATION,
+    TRUE,
     Termination,
+    Valuation,
     VarRef,
     alt,
     bool_variables,
@@ -134,6 +156,126 @@ def _in_b(bisim_actions):
     return lambda a: a in bisim_actions
 
 
+def _succ_by_action(ss: StateSpace) -> list[dict[Action, list[int]]]:
+    out: list[dict[Action, list[int]]] = []
+    for edges in ss.succ:
+        table: dict[Action, list[int]] = {}
+        for action, dst in edges:
+            table.setdefault(action, []).append(dst)
+        out.append(table)
+    return out
+
+
+def partial_bisim_oracle(
+    left: StateSpace, right: StateSpace, bisim_actions: BisimActions = "all"
+) -> RelationResult:
+    """Reference ``partial_bisim``: an action table for every state built up
+    front and a stored ``preds`` list per product pair.  ``partial_bisim``
+    must give the same verdict, witness and counterexample steps."""
+    in_b = action_predicate(bisim_actions)
+    lsucc = _succ_by_action(left)
+    rsucc = _succ_by_action(right)
+
+    root = (left.initial, right.initial)
+    pairs: set[tuple[int, int]] = {root}
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
+    queue = deque([root])
+    while queue:
+        i, j = queue.popleft()
+        ltable = lsucc[i]
+        rtable = rsucc[j]
+        for action, ltargets in ltable.items():
+            rtargets = rtable.get(action)
+            if rtargets is None:
+                continue
+            for li in ltargets:
+                for rj in rtargets:
+                    child = (li, rj)
+                    if child not in pairs:
+                        pairs.add(child)
+                        preds[child] = []
+                        queue.append(child)
+                    preds[child].append((i, j))
+
+    # clause, action, continuation pair (already removed) or None
+    reason: dict[tuple[int, int], tuple[int, Action | None, tuple[int, int] | None]] = {}
+    removed_at: dict[tuple[int, int], int] = {}
+    alive: set[tuple[int, int]] = set()
+    removal_clock = 0
+
+    def remove(pair, why) -> None:
+        nonlocal removal_clock
+        reason[pair] = why
+        removed_at[pair] = removal_clock
+        removal_clock += 1
+
+    for pair in pairs:
+        i, j = pair
+        if (i in left.marked) != (j in right.marked):
+            remove(pair, (1, None, None))
+        else:
+            alive.add(pair)
+
+    def violation(pair):
+        """First violated clause at the pair, or None while it is satisfied."""
+        i, j = pair
+        ltable = lsucc[i]
+        rtable = rsucc[j]
+        for action, ltargets in ltable.items():
+            rtargets = rtable.get(action, ())
+            for li in ltargets:
+                dead = []
+                for rj in rtargets:
+                    if (li, rj) in alive:
+                        break
+                    dead.append((li, rj))
+                else:
+                    cont = min(dead, key=removed_at.__getitem__) if dead else None
+                    return (2, action, cont)
+        for action, rtargets in rtable.items():
+            if not in_b(action):
+                continue
+            ltargets = ltable.get(action, ())
+            for rj in rtargets:
+                dead = []
+                for li in ltargets:
+                    if (li, rj) in alive:
+                        break
+                    dead.append((li, rj))
+                else:
+                    cont = min(dead, key=removed_at.__getitem__) if dead else None
+                    return (3, action, cont)
+        return None
+
+    worklist = deque(alive)
+    scheduled = set(worklist)
+    while worklist:
+        pair = worklist.popleft()
+        scheduled.discard(pair)
+        if pair not in alive:
+            continue
+        why = violation(pair)
+        if why is None:
+            continue
+        alive.discard(pair)
+        remove(pair, why)
+        for parent in preds[pair]:
+            if parent in alive and parent not in scheduled:
+                worklist.append(parent)
+                scheduled.add(parent)
+
+    if root in alive:
+        return RelationResult(holds=True, witness=frozenset(alive))
+
+    steps: list[PlayStep] = []
+    cursor: tuple[int, int] | None = root
+    while cursor is not None:
+        clause, action, nxt = reason[cursor]
+        steps.append(PlayStep(cursor[0], cursor[1], clause, action))
+        cursor = nxt
+    return RelationResult(holds=False, counterexample=Counterexample(tuple(steps)))
+
+
 def gfp_partial_bisim(left: StateSpace, right: StateSpace, bisim_actions) -> bool:
     """Greatest-fixpoint over the full product, one full rescan per round."""
     lsucc = _tables(left)
@@ -172,6 +314,95 @@ def exhaustive_partial_bisim(left: StateSpace, right: StateSpace, bisim_actions)
                         left.marked, right.marked, in_b) for p in relation):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# guard minimization
+
+def eliminate_variables_oracle(
+    declarations: Declarations, on: set[tuple], off: set[tuple]
+) -> list[int]:
+    """Indices of the variables ``minimize_guard`` keeps, by rescanning
+    from the first variable after every drop."""
+    keep = list(range(len(declarations.variables)))
+    changed = True
+    while changed:
+        changed = False
+        for drop in list(keep):
+            trial = [i for i in keep if i != drop]
+            if not (_project(on, trial) & _project(off, trial)):
+                keep = trial
+                changed = True
+                break
+    return keep
+
+
+def minimize_guard_oracle(
+    declarations: Declarations, on: set[Valuation], off: set[Valuation]
+) -> BoolExpr:
+    """``minimize_guard`` with ``eliminate_variables_oracle`` choosing the
+    kept variables."""
+    if not on:
+        return FALSE
+    on_pts = {v.values_tuple for v in on}
+    off_pts = {v.values_tuple for v in off}
+    if on_pts & off_pts:
+        raise ValueError("on and off sets overlap")
+    if not off_pts:
+        return TRUE
+
+    keep = eliminate_variables_oracle(declarations, on_pts, off_pts)
+    if not keep:
+        return TRUE
+    variables = [declarations.variables[i] for i in keep]
+    on_proj = sorted(_project(on_pts, keep))
+    off_proj = sorted(_project(off_pts, keep))
+
+    domains = [list(v.domain.values()) for v in variables]
+    cube_count = 1
+    for d in domains:
+        cube_count *= (1 << len(d)) - 1
+
+    # bit position per full-space valuation
+    space = list(itertools.product(*domains))
+    bit = {p: i for i, p in enumerate(space)}
+    off_mask = 0
+    for p in off_proj:
+        off_mask |= 1 << bit[p]
+    on_bits = [bit[p] for p in on_proj]
+
+    # per variable: mask of each value subset
+    subset_masks: list[dict[tuple[int, ...], int]] = []
+    value_masks: list[dict[int, int]] = []
+    for vi, domain in enumerate(domains):
+        vmask: dict[int, int] = {v: 0 for v in domain}
+        for p, i in bit.items():
+            vmask[p[vi]] |= 1 << i
+        value_masks.append(vmask)
+        table: dict[tuple[int, ...], int] = {}
+        for sub in _subsets(domain):
+            m = 0
+            for v in sub:
+                m |= vmask[v]
+            table[sub] = m
+        subset_masks.append(table)
+
+    def cube_mask(cube: tuple[tuple[int, ...], ...]) -> int:
+        m = -1
+        for vi, sub in enumerate(cube):
+            m &= subset_masks[vi][sub]
+        return m
+
+    def cube_cost(cube: tuple[tuple[int, ...], ...]) -> int:
+        return sum(1 for vi, sub in enumerate(cube) if len(sub) != len(domains[vi]))
+
+    if cube_count <= _CUBE_LIMIT:
+        primes = _exact_primes(domains, subset_masks, off_mask, cube_mask)
+    else:
+        primes = _expanded_primes(domains, on_proj, off_mask, cube_mask)
+
+    chosen = _exact_cover(primes, on_bits, cube_mask, cube_cost)
+    return _render_cubes(variables, domains, chosen)
 
 
 def coreachable_oracle(ss: StateSpace) -> set[int]:

@@ -193,6 +193,12 @@ class TestDeterminism:
         assert len(outputs) == 1
         assert json.loads(outputs.pop())
 
+    def test_controllability_counterexample_does_not_depend_on_hash_seed(self, tampered):
+        runs = [run_with_hash_seed(seed, "check", tampered) for seed in ("0", "1")]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stdout == runs[1].stdout
+        assert b"controllability: FAIL\nat pair (left 0, right 0)" in runs[0].stdout
+
     def test_observer_error_does_not_depend_on_hash_seed(self, tmp_path):
         f = tmp_path / "conflicts.cpd"
         f.write_text(TWO_CONFLICTS)

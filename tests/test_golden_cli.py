@@ -4,7 +4,9 @@ hash to the digest recorded in ``golden_cli.json``.
 The runs are the five models (the three bundled ones and the two
 ``perfbench/inputs`` files) under ``explore`` in each format, plain,
 ``--unsupervised`` and ``--rho-in-identity``, plus ``synth`` and
-``check all`` in text and JSON.  Regenerate the file with
+``check all`` in text and JSON, plus ``check ppf_1_1 pbis`` against
+``ppf_1_1_tampered`` under each ``--bisim-actions`` value in text and JSON
+(each of those ends in a counterexample).  Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -44,6 +46,11 @@ def runs() -> dict[str, list[str]]:
         for fmt in ("text", "json"):
             out[f"synth {model} {fmt}"] = ["synth", model, "--format", fmt]
             out[f"check {model} all {fmt}"] = ["check", model, "all", "--format", fmt]
+    for actions in ("all", "none", "uncontrollable"):
+        for fmt in ("text", "json"):
+            out[f"check ppf_1_1 pbis {actions} {fmt}"] = [
+                "check", "ppf_1_1", "pbis", "--against", "ppf_1_1_tampered",
+                "--bisim-actions", actions, "--format", fmt]
     return out
 
 

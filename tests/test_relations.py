@@ -1,14 +1,19 @@
 """Partial bisimulation: examples, random agreement with oracles, preorder laws."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from cpd.control import renamed_plant, supervised_plant
+from cpd.errors import SynthesisError
+from cpd.ppf import instantiate_ppf
 from cpd.models import load
+from cpd.parser import parse
 from cpd.relations import action_predicate, bisimilar, partial_bisim, simulated_by
 from cpd.semantics import Engine
 from cpd.statespace import explore
+from cpd.synthesis import analyze, guards_from_space, integrate_supervisor
 from cpd.terms import (
     Alt,
     DEADLOCK,
@@ -20,10 +25,26 @@ from cpd.terms import (
     send,
 )
 
-from gen import REL_CHANNELS, REL_DECLS, random_small_space, random_term
-from oracles import exhaustive_partial_bisim, gfp_partial_bisim, _in_b, _pair_ok, _tables
+from gen import (
+    REL_CHANNELS,
+    REL_DECLS,
+    deep_failing_pair,
+    dense_spaces,
+    random_plant_spec,
+    random_small_space,
+    random_term,
+)
+from oracles import (
+    _in_b,
+    _pair_ok,
+    _tables,
+    exhaustive_partial_bisim,
+    gfp_partial_bisim,
+    partial_bisim_oracle,
+)
 
 C, D, U = REL_CHANNELS
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def space(t):
@@ -155,6 +176,87 @@ class TestOracleAgreement:
             for b in ("none", "all"):
                 got = partial_bisim(left, right, b).holds
                 assert got == exhaustive_partial_bisim(left, right, b)
+
+
+BISIM_ACTIONS = ("none", "uncontrollable", "all")
+
+
+def play_length(left, right, b):
+    """Moves of the counterexample (0 when the relation holds), after
+    checking verdict, witness and counterexample steps against the oracle."""
+    got = partial_bisim(left, right, b)
+    want = partial_bisim_oracle(left, right, b)
+    assert (got.holds, got.witness) == (want.holds, want.witness)
+    if got.holds:
+        return 0
+    assert got.counterexample.steps == want.counterexample.steps
+    return len(got.counterexample.steps)
+
+
+def supervised_and_plant(spec):
+    syn = analyze(spec)
+    sup = guards_from_space(spec, syn)
+    supervised = explore(supervised_plant(integrate_supervisor(spec, sup)), spec.declarations)
+    return supervised, syn.space
+
+
+class TestMatchesStoredPredecessorOracle:
+    def test_random_spaces(self):
+        rng = random.Random(73)
+        lengths = set()
+        for _ in range(300):
+            left = random_small_space(rng, max_states=30)
+            right = random_small_space(rng, max_states=30)
+            for b in BISIM_ACTIONS:
+                lengths.add(play_length(left, right, b))
+        assert 0 in lengths and 2 in lengths
+
+    def test_deep_failing_plays(self):
+        rng = random.Random(79)
+        lengths = set()
+        for _ in range(60):
+            left, right = deep_failing_pair(rng, rng.randint(5, 8))
+            for b in BISIM_ACTIONS:
+                lengths.add(play_length(left, right, b))
+        assert {6, 7, 8, 9} <= lengths
+
+    def test_bundled_models(self):
+        spaces = []
+        for name in ("agv", "ppf_1_1", "ppf_1_1_tampered"):
+            spec = load(name)
+            spaces.append(explore(supervised_plant(spec), spec.declarations))
+            spaces.append(explore(renamed_plant(spec), spec.declarations))
+        lengths = {play_length(left, right, b)
+                   for left in spaces for right in spaces for b in BISIM_ACTIONS}
+        assert 0 in lengths and max(lengths) >= 5
+
+    def test_synthesized_supervisors(self):
+        specs = [parse(f.read_text(), f.name) for f in sorted(PERFBENCH_INPUTS.glob("*.cpd"))]
+        rng = random.Random(97)
+        while len(specs) < 17:
+            spec = random_plant_spec(rng)
+            try:
+                analyze(spec)
+            except SynthesisError:
+                continue
+            specs.append(spec)
+        for spec in specs:
+            supervised, plant = supervised_and_plant(spec)
+            for b in BISIM_ACTIONS:
+                assert play_length(supervised, plant, b) == 0 or b == "all"
+                play_length(plant, supervised, b)
+
+    def test_ppf_2_21(self):
+        supervised, plant = supervised_and_plant(instantiate_ppf(2, [2, 1]))
+        lengths = [play_length(supervised, plant, b) for b in BISIM_ACTIONS]
+        assert lengths[:2] == [0, 0] and lengths[2] > 0
+        assert all(play_length(plant, supervised, b) for b in BISIM_ACTIONS)
+
+    def test_dense_cell(self):
+        guarded, unguarded = dense_spaces(random.Random(83))
+        lengths = [play_length(guarded, unguarded, b) for b in BISIM_ACTIONS]
+        assert lengths[:2] == [0, 0] and lengths[2] > 0
+        assert all(play_length(unguarded, guarded, b) for b in BISIM_ACTIONS)
 
 
 class TestPreorderLaws:

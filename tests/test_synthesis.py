@@ -15,6 +15,7 @@ from cpd.semantics import Engine
 from cpd.statespace import explore
 from cpd.synthesis import (
     SupervisorSpec,
+    _eliminate_variables,
     analyze,
     emit_supervisor,
     guards_from_space,
@@ -39,7 +40,12 @@ from cpd.terms import (
 )
 
 from gen import random_plant_spec
-from oracles import all_cube_formulas, analyze_oracle
+from oracles import (
+    all_cube_formulas,
+    analyze_oracle,
+    eliminate_variables_oracle,
+    minimize_guard_oracle,
+)
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -143,6 +149,38 @@ class TestMinimizeGuard:
             assert all(eval_bool(v, g) for v in on)
             assert not any(eval_bool(v, g) for v in off)
             assert formula_cost(g) == exhaustive_min_cost(decls, on, off)
+
+
+class TestEliminateVariablesMatchesOracle:
+    def test_one_pass_keeps_what_rescanning_keeps(self):
+        # labels depend on a random subset of the variables, and only some
+        # valuations are labelled, so some variables can be dropped and some
+        # cannot
+        rng = random.Random(89)
+        kept_sizes = set()
+        for _ in range(200):
+            sizes = [rng.choice((2, 3)) for _ in range(rng.randint(1, 4))]
+            decls = Declarations(
+                variables=tuple(VariableDecl(f"v{i}", IntRange(1, n), 1)
+                                for i, n in enumerate(sizes)),
+                channels=())
+            relevant = [i for i in range(len(sizes)) if rng.randrange(2)]
+            label: dict[tuple, int] = {}
+            density = rng.random()
+            on, off = set(), set()
+            for v in decls.all_valuations():
+                if rng.random() < density:
+                    key = tuple(v.values_tuple[i] for i in relevant)
+                    [on, off, set()][label.setdefault(key, rng.randrange(3))].add(v)
+            on_pts = {v.values_tuple for v in on}
+            off_pts = {v.values_tuple for v in off}
+            keep = _eliminate_variables(decls, on_pts, off_pts)
+            assert keep == eliminate_variables_oracle(decls, on_pts, off_pts)
+            kept_sizes.add((len(keep), len(sizes)))
+            assert (bool_to_str(minimize_guard(decls, on, off))
+                    == bool_to_str(minimize_guard_oracle(decls, on, off)))
+        assert any(0 < k < n for k, n in kept_sizes)
+        assert any(k == n > 1 for k, n in kept_sizes)
 
 
 def formula_cost(g):
