@@ -10,6 +10,7 @@ chains, and data or boolean expressions.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -270,6 +271,12 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
         "ppf": cmd_ppf,
     }
+    # an explored space lives to the end of the call, so the cyclic
+    # collector's full passes over it free nothing: collect rarely, for
+    # this call only, once the argument parser's cycles are freed
+    thresholds = gc.get_threshold()
+    gc.collect(1)
+    gc.set_threshold(200_000, 30, 30)
     try:
         return handlers[args.command](args)
     except SpecError as exc:
@@ -286,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
                 if isinstance(exc, RecursionError) else "out of memory")
         print(f"error: {what}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

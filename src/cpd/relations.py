@@ -18,24 +18,36 @@ on those indices: a state's table maps an action index to its targets in
 edge order, and B is a list of booleans with one predicate call per distinct
 action.  A state's table is built the first time the product BFS reaches the
 state, so a plant much larger than the supervised space it is compared with
-is only read where the product goes.  The BFS numbers each pair in discovery
-order and stores no predecessor lists.  When a pair is removed, its parents
-are found on demand: the discovered pairs with an edge on a common action
-into it, sorted by discovery number.  The reverse tables this reads are
-built once, from the forward tables, at the first removal.
+is only read where the product goes.
+
+The BFS numbers each pair in discovery order and stores no predecessor
+lists.  It keeps a partner set per left state: the right states already
+paired with it.  For a common action, a left target whose partners cover
+the right targets adds nothing and is skipped with one ``issuperset`` call;
+otherwise the right targets are walked in edge order and only the missing
+pairs are added.  Pairs are thus discovered in the order that building and
+looking up every (left target, right target) pair would give, but a left
+target with nothing new costs one call instead of a look-up per right
+target.  When a pair is removed, its parents are found on demand: the
+discovered pairs with an edge on a common action into it, sorted by
+discovery number.  The reverse tables this reads are built once, from the
+forward tables, at the first removal.
 
 The removal order is kept exactly, because the counterexample depends on
 it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
 iteration order of the set of all pairs added in discovery order.  A removed
 pair schedules its parents in discovery order, which is the order a BFS that
-stored each pair's predecessors would list them in.
+stored each pair's predecessors would list them in.  The fixpoint stops
+when the root is removed: the counterexample is the chain of removal
+reasons from the root, each naming a pair removed before it, so later
+removals cannot change it, and a failing result carries no witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import filterfalse, product
+from itertools import product
 from typing import Callable
 
 from .statespace import StateSpace
@@ -173,18 +185,31 @@ def partial_bisim(
     lbuilt, ltable_of = _tables(left, action_ids)
     rbuilt, rtable_of = _tables(right, action_ids)
 
-    # product BFS; a pair's discovery index is its position in order
+    # product BFS; a pair's discovery index is its position in order, and
+    # reach[li] holds the right states already paired with left state li
     root = (left.initial, right.initial)
     index: dict[tuple[int, int], int] = {root: 0}
     order = [root]
+    reach: dict[int, set[int]] = {root[0]: {root[1]}}
     for i, j in order:
         rtable = rtable_of(j)
         for a, ltargets in ltable_of(i).items():
             rtargets = rtable.get(a)
-            if rtargets is not None:
-                for child in filterfalse(index.__contains__, product(ltargets, rtargets)):
-                    index[child] = len(order)
-                    order.append(child)
+            if rtargets is None:
+                continue
+            for li in ltargets:
+                partners = reach.get(li)
+                if partners is None:
+                    partners = reach[li] = set()
+                elif partners.issuperset(rtargets):
+                    continue
+                for rj in rtargets:
+                    if rj not in partners:
+                        partners.add(rj)
+                        child = (li, rj)
+                        index[child] = len(order)
+                        order.append(child)
+    del reach  # the fixpoint does not read it; freeing it lowers the peak
     actions = list(action_ids)
     in_b = [pred(action) for action in actions]
 
@@ -255,9 +280,11 @@ def partial_bisim(
                 found.update(filter(index.__contains__, product(lsrc, rsrc)))
         return sorted(found, key=index.__getitem__)
 
+    # the counterexample is the chain of reasons from the root, each naming a
+    # pair removed before it, so the fixpoint can stop once the root is out
     worklist = deque(alive)
     scheduled = set(worklist)
-    while worklist:
+    while root in alive and worklist:
         pair = worklist.popleft()
         scheduled.discard(pair)
         if pair not in alive:

@@ -73,10 +73,29 @@ Step = tuple[Action, ProcessTerm, dict[str, int]]
 
 
 class Engine:
-    """Derives transitions of configurations over the declared variables."""
+    """Derives transitions of configurations over the declared variables.
+
+    The residual of a ``.`` or ``*`` step is a ``Seq`` of the part's residual
+    and the rest, and the engine builds one ``Seq`` object per pair of
+    argument objects.  A starred component that moves then has the same
+    residual object at every state, so a step table keyed by the component
+    object hits for it: on a cell whose process ``(u![x1 := 1].1 + ... +
+    1)*`` reads no variables, that position's table holds 2 entries over the
+    cell's 81 states.  The raw terms are the same, so printed output does
+    not change."""
 
     def __init__(self, declarations: Declarations):
         self.declarations = declarations
+        # the Seq(residual, right) built for a pair of objects; an entry
+        # holds both, so their ids are not reused while it lives
+        self.seqs: dict[tuple[int, int], Seq] = {}
+
+    def seq(self, left: ProcessTerm, right: ProcessTerm) -> Seq:
+        """``Seq(left, right)``, one object per pair of argument objects."""
+        out = self.seqs.get((id(left), id(right)))
+        if out is None:
+            out = self.seqs[id(left), id(right)] = Seq(left, right)
+        return out
 
     def initial(self, term: ProcessTerm) -> Configuration:
         return Configuration(term, self.declarations.initial_environment())
@@ -132,7 +151,7 @@ class Engine:
             out = []
             while isinstance(t, Seq):
                 left_ends, steps = self.derive(t.left, alpha)
-                out.extend((action, Seq(residual, t.right), writes)
+                out.extend((action, self.seq(residual, t.right), writes)
                            for action, residual, writes in steps)
                 if not left_ends:
                     return False, out
@@ -142,7 +161,8 @@ class Engine:
             return ends, out
         if isinstance(t, Star):
             steps = self.derive(t.body, alpha)[1]
-            return True, [(action, Seq(residual, t), writes) for action, residual, writes in steps]
+            return True, [(action, self.seq(residual, t), writes)
+                          for action, residual, writes in steps]
         if isinstance(t, Termination):
             return True, []
         if isinstance(t, Deadlock):

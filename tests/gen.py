@@ -172,35 +172,59 @@ def deep_failing_pair(rng: random.Random, depth: int):
 DENSE_VARIABLES = ("x1", "x2", "x3", "x4")
 
 
+def _dense_text(commands: str, requirements: tuple[str, ...] = ()) -> str:
+    """A cell of four variables over 1..3 (81 valuations), an uncontrollable
+    process whose twelve ``u!`` setters set any variable to any value, and a
+    process offering ``commands``, the controllable ``g1..g4``."""
+    setters = " + ".join(f"u![{v} := {k}].1" for v in DENSE_VARIABLES for k in (1, 2, 3))
+    return "\n".join([
+        "controllable g1, g2, g3, g4;",
+        "uncontrollable u;",
+        *(f"var {v} : 1..3 = 1;" for v in DENSE_VARIABLES),
+        f"process Env = ({setters} + 1)*;",
+        f"process Ctl = ({commands} + 1)*;",
+        "process Cell = Env || Ctl;",
+        "plant Cell;",
+        *requirements,
+    ]) + "\n"
+
+
 def dense_spaces(rng: random.Random):
-    """Explored (guarded, unguarded) plants of a data-heavy cell: four
-    variables over 1..3 (81 valuations), an uncontrollable process whose
-    twelve ``u!`` setters set any variable to any value, and a process
-    offering the controllable commands ``g1..g4``.  In the guarded plant
-    each command is guarded by a random cube over one or two variables, as
-    a synthesized supervisor would restrict it."""
+    """Explored (guarded, unguarded) plants of a data-heavy cell.  In the
+    guarded plant each command is guarded by a random cube over one or two
+    variables, as a synthesized supervisor would restrict it."""
     cubes = []
     for _ in range(4):
         support = sorted(rng.sample(DENSE_VARIABLES, rng.randint(1, 2)))
         cubes.append(" /\\ ".join(f"{v} = {rng.randint(1, 3)}" for v in support))
-    setters = " + ".join(f"u![{v} := {k}].1" for v in DENSE_VARIABLES for k in (1, 2, 3))
     out = []
     for guarded in (True, False):
         commands = " + ".join(
             (f"({cube}) -> " if guarded else "") + f"g{j}?.1"
             for j, cube in enumerate(cubes, 1))
-        text = "\n".join([
-            "controllable g1, g2, g3, g4;",
-            "uncontrollable u;",
-            *(f"var {v} : 1..3 = 1;" for v in DENSE_VARIABLES),
-            f"process Env = ({setters} + 1)*;",
-            f"process Ctl = ({commands} + 1)*;",
-            "process Cell = Env || Ctl;",
-            "plant Cell;",
-        ]) + "\n"
-        spec = parse(text, "dense.cpd")
+        spec = parse(_dense_text(commands), "dense.cpd")
         out.append(explore(operational_root(spec), spec.declarations))
     return tuple(out)
+
+
+def dense_spec(rng: random.Random) -> SystemSpec:
+    """The data-heavy cell with unguarded commands and one requirement per
+    command, ``gj!? => f_j``.  ``f_j`` is a union of cubes over disjoint
+    supports that together cover all four variables, one random value per
+    variable, so the cubes are its prime implicants and the synthesized
+    guard of ``gj`` reads all four variables."""
+    requirements = []
+    for j in range(1, 5):
+        order = list(DENSE_VARIABLES)
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, 4), rng.randint(1, 3)))
+        supports = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, 4])]
+        formula = " \\/ ".join(
+            " /\\ ".join(f"{v} = {rng.randint(1, 3)}" for v in support)
+            for support in supports)
+        requirements.append(f"requirement g{j}!? => {formula};")
+    commands = " + ".join(f"g{j}?.1" for j in range(1, 5))
+    return parse(_dense_text(commands, tuple(requirements)), "dense.cpd")
 
 
 # ---------------------------------------------------------------------------

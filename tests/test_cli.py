@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, streams, exit codes."""
 
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cpd import cli
 from cpd.cli import main
 from cpd.control import operational_root
 from cpd.models import model_text
@@ -357,6 +359,21 @@ class TestSynth:
         f.write_text(OBSERVER)
         assert main(["synth", str(f)]) == 1
         assert "not a function of the variables" in capsys.readouterr().err
+
+    def test_collector_thresholds_raised_for_the_call_only(self, agv, monkeypatch, capsys):
+        before = gc.get_threshold()
+        seen = []
+
+        def failing(args):
+            seen.append(gc.get_threshold())
+            raise ValueError("stop")
+
+        assert main(["synth", agv]) == 0
+        assert gc.get_threshold() == before
+        monkeypatch.setattr(cli, "cmd_synth", failing)
+        assert main(["synth", agv]) == 1
+        assert seen == [(200_000, 30, 30)]
+        assert gc.get_threshold() == before
 
 
 class TestPpf:

@@ -223,3 +223,23 @@ def test_long_spines_are_keyed_once(term, monkeypatch):
     calls = count_keying_calls(monkeypatch, root)
     assert calls["normalize"] <= size
     assert calls["canonical_id"] <= 2 * size
+
+
+def test_a_moving_starred_component_hits_its_step_table(monkeypatch):
+    # the Env position, (u![x1 := 1].1 + ... + 1)*, reads no variables; every
+    # step of it is Seq(1, star), one object per engine, so its table holds
+    # about two entries, not one per valuation reached
+    skeletons = []
+
+    class Recording(semantics.Skeleton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            skeletons.append(self)
+
+    monkeypatch.setattr(statespace, "Skeleton", Recording)
+    for space in gen.dense_spaces(random.Random(83)):
+        assert len(space) == 81
+    assert len(skeletons) == 2
+    for skeleton in skeletons:
+        assert term_to_str(skeleton.components[0]).startswith("(u![x1 := 1].1")
+        assert len(skeleton.tables[0]) <= 3

@@ -21,15 +21,18 @@ from cpd.terms import (
     Par,
     Prefix,
     TERMINATION,
+    bool_variables,
     completed,
     send,
 )
 
 from gen import (
+    DENSE_VARIABLES,
     REL_CHANNELS,
     REL_DECLS,
     deep_failing_pair,
     dense_spaces,
+    dense_spec,
     random_plant_spec,
     random_small_space,
     random_term,
@@ -257,6 +260,23 @@ class TestMatchesStoredPredecessorOracle:
         lengths = [play_length(guarded, unguarded, b) for b in BISIM_ACTIONS]
         assert lengths[:2] == [0, 0] and lengths[2] > 0
         assert all(play_length(unguarded, guarded, b) for b in BISIM_ACTIONS)
+
+    def test_synthesized_dense_cells(self):
+        # every pair has twelve u targets on each side, so the product search
+        # mostly meets left targets whose partners already cover the right
+        # targets
+        rng = random.Random(101)
+        for _ in range(3):
+            spec = dense_spec(rng)
+            syn = analyze(spec)
+            sup = guards_from_space(spec, syn)
+            for guard in sup.guards.values():
+                assert bool_variables(guard) == set(DENSE_VARIABLES)
+            supervised = explore(supervised_plant(integrate_supervisor(spec, sup)),
+                                 spec.declarations)
+            lengths = [play_length(supervised, syn.space, b) for b in BISIM_ACTIONS]
+            assert lengths[:2] == [0, 0] and lengths[2] > 0
+            assert all(play_length(syn.space, supervised, b) for b in BISIM_ACTIONS)
 
 
 class TestPreorderLaws:
