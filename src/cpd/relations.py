@@ -16,9 +16,11 @@ practice.
 Each call numbers the distinct actions it meets, in both spaces, and works
 on those indices: a state's table maps an action index to its targets in
 edge order, and B is a list of booleans with one predicate call per distinct
-action.  A state's table is built the first time the product BFS reaches the
-state, so a plant much larger than the supervised space it is compared with
-is only read where the product goes.
+action, made when the action gets its index.  A state's table is built the
+first time the product BFS reaches the state, so a plant much larger than
+the supervised space it is compared with is only read where the product
+goes.  The same edge pass counts the state's B-actions and records whether
+its targets include unmarked states, marked states, or both.
 
 The BFS numbers each pair in discovery order and stores no predecessor
 lists.  It keeps a partner set per left state: the right states already
@@ -32,6 +34,19 @@ target.  When a pair is removed, its parents are found on demand: the
 discovered pairs with an edge on a common action into it, sorted by
 discovery number.  The reverse tables this reads are built once, from the
 forward tables, at the first removal.
+
+Only a pair whose verdict can change is checked (Henzinger, Henzinger and
+Kopke, "Computing simulations on finite and infinite graphs", FOCS 1995).
+Expanding pair (i, j), the BFS marks it clean when its first check must
+pass: every action of i has targets at j, every B-action of j has targets
+at i (i's actions are then a subset of j's, so equal B-action counts
+suffice), and the targets of i and of j are all unmarked or all marked, or
+i has none.  A pair whose states differ in marking is removed before the
+fixpoint starts, so the mark is not part of the rule.  Every child of a
+clean pair is discovered while it is expanded and none fails termination,
+so each clause finds a live partner until a child is removed.  The fixpoint
+skips clean pairs, and a removal takes its parents out of the clean set
+before it schedules them.
 
 The removal order is kept exactly, because the counterexample depends on
 it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
@@ -139,28 +154,46 @@ class RelationResult:
     direction: str = "forward"
 
 
-def _tables(ss: StateSpace, action_ids: dict[Action, int]):
-    """The per-state tables of ``ss`` built so far, and the function that
-    returns a state's ``{action index: [targets]}`` table, building it in
-    edge order on first use.  A new action gets the next index in
-    ``action_ids``."""
+def _tables(ss: StateSpace, action_ids: dict[Action, int], in_b: list[bool],
+            pred: Callable[[Action], bool]):
+    """The per-state tables of ``ss`` built so far, each built state's facts,
+    and the function that returns a state's ``{action index: [targets]}``
+    table, building it in edge order on first use.  A new action gets the
+    next index in ``action_ids`` and its one predicate call in ``in_b``.  A
+    state's facts are one int: four times its number of B-actions plus a
+    mask of its targets' marks, 1 for some unmarked target and 2 for some
+    marked one."""
     succ = ss.succ
+    marked = ss.marked
     built: dict[int, dict[int, list[int]]] = {}
+    facts: dict[int, int] = {}
+    # an explored space holds one object per distinct action, and hashing an
+    # Action runs Python code, so edges look their index up by object id
+    by_id: dict[int, int] = {}
 
     def table(state: int) -> dict[int, list[int]]:
         out = built.get(state)
         if out is None:
             out = built[state] = {}
+            mask = 0
             for action, dst in succ[state]:
-                a = action_ids.setdefault(action, len(action_ids))
+                a = by_id.get(id(action))
+                if a is None:
+                    a = action_ids.get(action)
+                    if a is None:
+                        a = action_ids[action] = len(in_b)
+                        in_b.append(pred(action))
+                    by_id[id(action)] = a
                 targets = out.get(a)
                 if targets is None:
                     out[a] = [dst]
                 else:
                     targets.append(dst)
+                mask |= 2 if dst in marked else 1
+            facts[state] = sum(map(in_b.__getitem__, out)) << 2 | mask
         return out
 
-    return built, table
+    return built, facts, table
 
 
 def _reverse(built: dict[int, dict[int, list[int]]]) -> dict[int, dict[int, list[int]]]:
@@ -182,20 +215,26 @@ def partial_bisim(
     edge."""
     pred = action_predicate(bisim_actions)
     action_ids: dict[Action, int] = {}
-    lbuilt, ltable_of = _tables(left, action_ids)
-    rbuilt, rtable_of = _tables(right, action_ids)
+    in_b: list[bool] = []
+    lbuilt, lfacts, ltable_of = _tables(left, action_ids, in_b, pred)
+    rbuilt, rfacts, rtable_of = _tables(right, action_ids, in_b, pred)
 
     # product BFS; a pair's discovery index is its position in order, and
-    # reach[li] holds the right states already paired with left state li
+    # reach[li] holds the right states already paired with left state li.
+    # proved lists the pairs whose first check must pass (module docstring)
     root = (left.initial, right.initial)
     index: dict[tuple[int, int], int] = {root: 0}
     order = [root]
     reach: dict[int, set[int]] = {root[0]: {root[1]}}
-    for i, j in order:
+    proved: list[tuple[int, int]] = []
+    for pair in order:
+        i, j = pair
         rtable = rtable_of(j)
+        covered = True
         for a, ltargets in ltable_of(i).items():
             rtargets = rtable.get(a)
             if rtargets is None:
+                covered = False
                 continue
             for li in ltargets:
                 partners = reach.get(li)
@@ -209,9 +248,15 @@ def partial_bisim(
                         child = (li, rj)
                         index[child] = len(order)
                         order.append(child)
+        # all of i's actions are j's, so equal B-action counts make j's
+        # B-actions i's; mask 0 (no edges) leaves no child to fail clause 1
+        if covered:
+            lfact = lfacts[i]
+            rfact = rfacts[j]
+            if lfact >> 2 == rfact >> 2 and (not lfact & 3 or (lfact | rfact) & 3 != 3):
+                proved.append(pair)
     del reach  # the fixpoint does not read it; freeing it lowers the peak
     actions = list(action_ids)
-    in_b = [pred(action) for action in actions]
 
     # clause, action, continuation pair (already removed) or None
     reason: dict[tuple[int, int], tuple[int, Action | None, tuple[int, int] | None]] = {}
@@ -230,6 +275,10 @@ def partial_bisim(
             remove(pair, (1, None, None))
         else:
             alive.add(pair)
+    # made once set(order) is freed, the clean set does not raise the peak;
+    # made from a dict, its table is half the size adding pairs would give
+    clean = set(dict.fromkeys(proved))
+    del proved, order  # the fixpoint reads neither
 
     def violation(pair):
         """First violated clause at the pair, or None while it is satisfied."""
@@ -266,9 +315,9 @@ def partial_bisim(
     # built from the forward tables on the first removal
     reverse: list[dict[int, dict[int, list[int]]]] = []
 
-    def parents(pair) -> list[tuple[int, int]]:
-        """Discovered pairs with a common-action edge into the pair, in
-        discovery order: the order the BFS met them as parents."""
+    def parents(pair) -> set[tuple[int, int]]:
+        """Discovered pairs with a common-action edge into the pair: the
+        pairs the BFS met as its parents."""
         if not reverse:
             reverse.extend((_reverse(lbuilt), _reverse(rbuilt)))
         lin = reverse[0].get(pair[0], {})
@@ -278,23 +327,27 @@ def partial_bisim(
             rsrc = rin.get(a)
             if rsrc is not None:
                 found.update(filter(index.__contains__, product(lsrc, rsrc)))
-        return sorted(found, key=index.__getitem__)
+        return found
 
     # the counterexample is the chain of reasons from the root, each naming a
     # pair removed before it, so the fixpoint can stop once the root is out
     worklist = deque(alive)
-    scheduled = set(worklist)
+    scheduled = set(alive)  # a copy's table is sized like the clean set's
     while root in alive and worklist:
         pair = worklist.popleft()
         scheduled.discard(pair)
-        if pair not in alive:
+        if pair not in alive or pair in clean:
             continue
         why = violation(pair)
         if why is None:
             continue
         alive.discard(pair)
         remove(pair, why)
-        for parent in parents(pair):
+        found = parents(pair)
+        if clean:
+            clean -= found
+        # in discovery order, the order the BFS met them in
+        for parent in sorted(found, key=index.__getitem__):
             if parent in alive and parent not in scheduled:
                 worklist.append(parent)
                 scheduled.add(parent)

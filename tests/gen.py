@@ -8,7 +8,7 @@ from cpd.control import operational_root
 from cpd.errors import BudgetError
 from cpd.parser import SystemSpec, parse
 from cpd.semantics import Configuration
-from cpd.statespace import explore
+from cpd.statespace import StateSpace, explore
 from cpd.terms import (
     Action,
     ActionSet,
@@ -129,6 +129,23 @@ def random_small_space(rng: random.Random, max_states: int = 6):
             return explore(root, REL_DECLS, budget=max_states)
         except BudgetError:
             continue
+
+
+def random_graph_space(rng: random.Random, actions, states: int = 6,
+                       sinks: float = 0.0) -> StateSpace:
+    """A state space drawn as a graph, not explored from a term, so marks
+    fall anywhere: each state is marked with probability 1/2, has no edges
+    with probability ``sinks``, and otherwise one to three distinct edges on
+    ``actions`` to random states, in the order an explored space keeps."""
+    succ = []
+    for _ in range(states):
+        edges = set()
+        if rng.random() >= sinks:
+            for _ in range(rng.randint(1, 3)):
+                edges.add((rng.choice(actions), rng.randrange(states)))
+        succ.append(sorted(edges, key=lambda e: (e[0].sort_key(), e[1])))
+    marked = {s for s in range(states) if rng.random() < 0.5}
+    return StateSpace(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
 
 
 def _chain(actions, copies, end):

@@ -1,6 +1,7 @@
 """Partial bisimulation: examples, random agreement with oracles, preorder laws."""
 
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from gen import (
     deep_failing_pair,
     dense_spaces,
     dense_spec,
+    random_graph_space,
     random_plant_spec,
     random_small_space,
     random_term,
@@ -277,6 +279,68 @@ class TestMatchesStoredPredecessorOracle:
             lengths = [play_length(supervised, syn.space, b) for b in BISIM_ACTIONS]
             assert lengths[:2] == [0, 0] and lengths[2] > 0
             assert all(play_length(syn.space, supervised, b) for b in BISIM_ACTIONS)
+
+
+class TestCleanPairEdges:
+    """The product search proves some pairs satisfied and the fixpoint skips
+    them until a child is removed.  These spaces sit at the edges of that
+    proof; the deep plays of ``test_deep_failing_plays`` cover the reopening
+    of proved pairs by a removal far below them."""
+
+    def plays(self, rng, lefts, rights, **kw):
+        lengths = set()
+        for _ in range(300):
+            left = random_graph_space(rng, lefts, **kw)
+            right = random_graph_space(rng, rights, **kw)
+            for b in BISIM_ACTIONS:
+                lengths.add(play_length(left, right, b))
+        return lengths
+
+    def test_targets_of_both_marks(self):
+        lengths = self.plays(random.Random(103), (send(C), send(U)), (send(C), send(U)))
+        assert {0, 1, 2, 3} <= lengths
+
+    def test_states_without_edges(self):
+        lengths = self.plays(random.Random(107), (send(C), send(U)), (send(C), send(U)),
+                             sinks=0.5)
+        assert {0, 1, 2, 3} <= lengths
+
+    def test_b_actions_only_on_the_right(self):
+        lengths = self.plays(random.Random(109), (send(C),), (send(C), send(U)))
+        assert {0, 1, 2, 3} <= lengths
+
+
+def reached_states(left, right):
+    """Left and right states of the product-reachable pairs."""
+    lsucc, rsucc = _tables(left), _tables(right)
+    root = (left.initial, right.initial)
+    seen, stack = {root}, [root]
+    while stack:
+        i, j = stack.pop()
+        for action, ltargets in lsucc[i].items():
+            for child in product(ltargets, rsucc[j].get(action, ())):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+    return {i for i, _ in seen}, {j for _, j in seen}
+
+
+def test_predicate_called_once_per_distinct_reached_action():
+    spec = load("ppf_1_1")
+    cases = [dense_spaces(random.Random(83)),
+             (explore(supervised_plant(spec), spec.declarations),
+              explore(renamed_plant(spec), spec.declarations)),
+             (space(p(send(C))), space(Alt(p(send(C)), p(send(D), p(send(U))))))]
+    unread = set()
+    for left, right in cases:
+        lstates, rstates = reached_states(left, right)
+        actions = ({a for s in lstates for a, _ in left.succ[s]}
+                   | {a for s in rstates for a, _ in right.succ[s]})
+        calls = []
+        partial_bisim(left, right, lambda a: calls.append(a) or not a.controllable)
+        assert len(calls) == len(actions) and set(calls) == actions
+        unread |= {a for ss in (left, right) for edges in ss.succ for a, _ in edges} - actions
+    assert unread == {send(U)}  # only after d!, which no left state offers
 
 
 class TestPreorderLaws:
