@@ -31,9 +31,9 @@ pairs are added.  Pairs are thus discovered in the order that building and
 looking up every (left target, right target) pair would give, but a left
 target with nothing new costs one call instead of a look-up per right
 target.  When a pair is removed, its parents are found on demand: the
-discovered pairs with an edge on a common action into it, sorted by
-discovery number.  The reverse tables this reads are built once, from the
-forward tables, at the first removal.
+discovered pairs with an edge on a common action into it.  Only those alive
+and not yet scheduled are sorted by discovery number.  The reverse tables
+this reads are built once, from the forward tables, at the first removal.
 
 Only a pair whose verdict can change is checked (Henzinger, Henzinger and
 Kopke, "Computing simulations on finite and infinite graphs", FOCS 1995).
@@ -346,11 +346,12 @@ def partial_bisim(
         found = parents(pair)
         if clean:
             clean -= found
-        # in discovery order, the order the BFS met them in
-        for parent in sorted(found, key=index.__getitem__):
-            if parent in alive and parent not in scheduled:
-                worklist.append(parent)
-                scheduled.add(parent)
+        # the alive ones not yet scheduled, in discovery order, the order the
+        # BFS met them in
+        fresh = [p for p in found if p in alive and p not in scheduled]
+        fresh.sort(key=index.__getitem__)
+        worklist.extend(fresh)
+        scheduled.update(fresh)
 
     if root in alive:
         return RelationResult(holds=True, witness=frozenset(alive))

@@ -6,14 +6,16 @@ the BAD set, exclusion requirements forbid (state, controllable channel)
 pairs, and the fixpoint alternates uncontrollable backward closure with
 coreachability pruning inside the remaining GOOD states.  Guards are then
 read off per controllable channel as functions of the valuation and
-minimized against the off-set, with everything else a don't-care.  The
-minimization is exact up to ``_CUBE_LIMIT`` candidate cubes; above it the
-guard is a sound cover that need not be the smallest.
+minimized against the off-set, with everything else a don't-care.  A cube
+is one int with a bit field per kept variable, and the prime cubes come
+from splitting the full cube around each off-point in turn.  The
+minimization is exact up to ``_CUBE_LIMIT`` cubes in the kept variables'
+space; above it the guard is a sound cover that need not be the smallest.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Container
 from dataclasses import dataclass
 
@@ -145,12 +147,17 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
 # ---------------------------------------------------------------------------
 # guard minimization over multi-valued variables
 #
-# A cube constrains each variable to a non-empty subset of its domain; its
-# cost is the number of constrained variables (literals).  The cover is
-# exact: fewest cubes first, fewest literals second, lexicographic cube order
-# third, with the off-set as the only obstacle and everything else don't-care.
-# Its candidates are all prime cubes only up to _CUBE_LIMIT cubes; above it
-# they are one grown cube per on-point, so the guard may not be minimal.
+# A cube is one int holding one bit field per kept variable, with one bit per
+# domain value in domain order; a point sets one bit in each field, and a
+# cube holds the point when it has all of the point's bits.  A cube's cost is
+# the number of fields it does not fill (literals).  The cover is exact:
+# fewest cubes first, fewest literals second, lexicographic cube order third,
+# with the off-set as the only obstacle and everything else don't-care.  Its
+# candidates are all prime cubes, found by splitting the full cube around one
+# off-point at a time.  Where the kept variables span more than _CUBE_LIMIT
+# cubes, the candidates are one grown cube per on-point instead, so the guard
+# may not be minimal.  The splitting itself needs no such limit: it only
+# fixes which guards take the grown-cube path, and so keeps their text.
 
 _CUBE_LIMIT = 300_000
 
@@ -181,21 +188,15 @@ def _eliminate_variables(
     return keep
 
 
-def _subsets(domain_values: list[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for r in range(1, len(domain_values) + 1):
-        out.extend(itertools.combinations(domain_values, r))
-    return out
-
-
 def minimize_guard(
     declarations: Declarations, on: set[Valuation], off: set[Valuation]
 ) -> BoolExpr:
     """Sum-of-cubes formula that is true on ``on`` and false on ``off``; all
-    other valuations are free.  It is the smallest such formula (fewest
-    cubes, then fewest literals) when the kept variables span at most
-    ``_CUBE_LIMIT`` cubes.  Above that the cover is picked from one grown
-    cube per on-point and can have more cubes than needed."""
+    other valuations are free.  Variables that never separate the two sets
+    are dropped first.  When the kept variables span at most ``_CUBE_LIMIT``
+    cubes, the cover is chosen from all prime cubes and is the smallest such
+    formula: fewest cubes, then fewest literals.  Above that it is picked
+    from one grown cube per on-point and can have more cubes than needed."""
     if not on:
         return FALSE
     on_pts = {v.values_tuple for v in on}
@@ -209,146 +210,88 @@ def minimize_guard(
     if not keep:
         return TRUE
     variables = [declarations.variables[i] for i in keep]
-    on_proj = sorted(_project(on_pts, keep))
-    off_proj = sorted(_project(off_pts, keep))
-
     domains = [list(v.domain.values()) for v in variables]
-    cube_count = 1
-    for d in domains:
-        cube_count *= (1 << len(d)) - 1
+    # each variable's field, and the bit of each of its values
+    fields: list[int] = []
+    bits: list[dict[int, int]] = []
+    width = 0
+    for domain in domains:
+        fields.append((1 << len(domain)) - 1 << width)
+        bits.append({v: 1 << width + j for j, v in enumerate(domain)})
+        width += len(domain)
 
-    # bit position per full-space valuation
-    space = list(itertools.product(*domains))
-    bit = {p: i for i, p in enumerate(space)}
-    off_mask = 0
-    for p in off_proj:
-        off_mask |= 1 << bit[p]
-    on_bits = [bit[p] for p in on_proj]
+    def masks(points: set[tuple]) -> list[int]:
+        return [sum(b[v] for b, v in zip(bits, p)) for p in sorted(_project(points, keep))]
 
-    # per variable: mask of each value subset
-    subset_masks: list[dict[tuple[int, ...], int]] = []
-    value_masks: list[dict[int, int]] = []
-    for vi, domain in enumerate(domains):
-        vmask: dict[int, int] = {v: 0 for v in domain}
-        for p, i in bit.items():
-            vmask[p[vi]] |= 1 << i
-        value_masks.append(vmask)
-        table: dict[tuple[int, ...], int] = {}
-        for sub in _subsets(domain):
-            m = 0
-            for v in sub:
-                m |= vmask[v]
-            table[sub] = m
-        subset_masks.append(table)
+    def values(cube: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(v for v, b in vb.items() if cube & b) for vb in bits)
 
-    def cube_mask(cube: tuple[tuple[int, ...], ...]) -> int:
-        m = -1
-        for vi, sub in enumerate(cube):
-            m &= subset_masks[vi][sub]
-        return m
-
-    def cube_cost(cube: tuple[tuple[int, ...], ...]) -> int:
-        return sum(1 for vi, sub in enumerate(cube) if len(sub) != len(domains[vi]))
-
-    if cube_count <= _CUBE_LIMIT:
-        primes = _exact_primes(domains, subset_masks, off_mask, cube_mask)
+    on_masks, off_masks = masks(on_pts), masks(off_pts)
+    if math.prod((1 << len(d)) - 1 for d in domains) <= _CUBE_LIMIT:
+        primes = _primes(fields, off_masks)
     else:
-        primes = _expanded_primes(domains, on_proj, off_mask, cube_mask)
+        primes = _expanded_primes(sum(fields), on_masks, off_masks)
+    chosen = _exact_cover(primes, on_masks, fields, values)
+    return _render_cubes(variables, domains, [values(c) for c in chosen])
 
-    chosen = _exact_cover(primes, on_bits, cube_mask, cube_cost)
-    return _render_cubes(variables, domains, chosen)
+
+def _primes(fields: list[int], off_masks: list[int]) -> list[int]:
+    """All maximal cubes that hold no off-point.  Starting from the full
+    cube, each off-point splits every cube that holds it into one cube per
+    field, each without the point's value there, and a split cube inside a
+    cube not split is dropped.  Every cube that avoids the points so far
+    lies in one of the cubes kept, and the set stays an antichain: a cube
+    not split lies in no other, and a split cube lies in no other split
+    cube, as that would put its parent inside the other's parent, which
+    holds the point's value too.  So the set is always exactly the primes."""
+    cubes = [sum(fields)]
+    for p in off_masks:
+        kept = [c for c in cubes if c & p != p]
+        split = [c & ~(p & f) for c in cubes if c & p == p for f in fields if c & f != p & f]
+        cubes = kept + [s for s in split if not any(s & c == s for c in kept)]
+    return cubes
 
 
-def _exact_primes(domains, subset_masks, off_mask, cube_mask):
-    """All maximal cubes avoiding the off-set, by full enumeration."""
-    all_subs = [_subsets(d) for d in domains]
-    primes = []
-    for cube in itertools.product(*all_subs):
-        if cube_mask(cube) & off_mask:
-            continue
-        prime = True
-        for vi, sub in enumerate(cube):
-            missing = [v for v in domains[vi] if v not in sub]
-            for v in missing:
-                enlarged = cube[:vi] + (tuple(sorted(sub + (v,))),) + cube[vi + 1 :]
-                if not (cube_mask(enlarged) & off_mask):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            primes.append(cube)
+def _expanded_primes(full: int, on_masks: list[int], off_masks: list[int]) -> set[int]:
+    """One maximal cube per on-point, grown value by value in field order;
+    a sound cover source where the exact primes would be too costly."""
+    primes = set()
+    for cube in on_masks:
+        free = full & ~cube
+        while free:
+            b = free & -free
+            free ^= b
+            if all((cube | b) & p != p for p in off_masks):
+                cube |= b
+        primes.add(cube)
     return primes
 
 
-def _expanded_primes(domains, on_proj, off_mask, cube_mask):
-    """One maximal cube per on-point, grown value by value; sound cover
-    source when full enumeration would be too large."""
-    primes = []
-    seen = set()
-    for point in on_proj:
-        cube = tuple((v,) for v in point)
-        for vi, domain in enumerate(domains):
-            sub = cube[vi]
-            for v in domain:
-                if v in sub:
-                    continue
-                enlarged = cube[:vi] + (tuple(sorted(sub + (v,))),) + cube[vi + 1 :]
-                if not (cube_mask(enlarged) & off_mask):
-                    cube = enlarged
-                    sub = cube[vi]
-        if cube not in seen:
-            seen.add(cube)
-            primes.append(cube)
-    return primes
-
-
-def _exact_cover(primes, on_bits, cube_mask, cube_cost):
-    """Minimum cover of the on-set: fewest cubes, then fewest literals, then
-    lexicographically least cube list."""
-    if not on_bits:
-        return []
-    primes = sorted(set(primes), key=lambda c: (cube_cost(c), c))
-    masks = [cube_mask(c) for c in primes]
-    costs = [cube_cost(c) for c in primes]
-    on_all = 0
-    for b in on_bits:
-        on_all |= 1 << b
-    # drop primes not touching the on-set
-    useful = [i for i in range(len(primes)) if masks[i] & on_all]
-    primes = [primes[i] for i in useful]
-    masks = [masks[i] for i in useful]
-    costs = [costs[i] for i in useful]
-
-    covers_bit: dict[int, list[int]] = {b: [] for b in on_bits}
-    for i, m in enumerate(masks):
-        for b in on_bits:
-            if m >> b & 1:
-                covers_bit[b].append(i)
-    for b, cands in covers_bit.items():
-        if not cands:
-            raise ValueError("on-point not coverable")
-
-    no_cover = (len(primes) + 1, 0, ())
-    best: list[tuple[int, int, tuple]] = [no_cover]
+def _exact_cover(primes, on_masks, fields, values) -> list[int]:
+    """Minimum cover of the on-points: fewest cubes, then fewest literals,
+    then the least list of prime indices, with the primes ordered by
+    (literals, ``values(cube)``)."""
+    cost = {c: sum(c & f != f for f in fields) for c in primes}
+    primes = sorted(cost, key=lambda c: (cost[c], values(c)))
+    # per on-point, the primes holding it; per prime, the on-points it holds
+    covers = [[i for i, c in enumerate(primes) if c & p == p] for p in on_masks]
+    holds = [sum(1 << k for k, p in enumerate(on_masks) if c & p == p) for c in primes]
+    best = (len(primes) + 1, 0, ())
 
     def search(uncovered: int, used: tuple[int, ...], literals: int) -> None:
+        nonlocal best
         if not uncovered:
-            key = (len(used), literals, used)
-            if key < best[0]:
-                best[0] = key
+            best = min(best, (len(used), literals, used))
             return
-        if len(used) + 1 > best[0][0]:
+        if len(used) + 1 > best[0]:
             return
-        # branch on the lowest uncovered on-bit
-        b = (uncovered & -uncovered).bit_length() - 1
-        for i in covers_bit[b]:
-            search(uncovered & ~masks[i], used + (i,), literals + costs[i])
+        # branch on the lowest uncovered on-point
+        k = (uncovered & -uncovered).bit_length() - 1
+        for i in covers[k]:
+            search(uncovered & ~holds[i], used + (i,), literals + cost[primes[i]])
 
-    search(on_all, (), 0)
-    if best[0] == no_cover:
-        raise ValueError("cover search failed")
-    return [primes[i] for i in sorted(best[0][2])]
+    search((1 << len(on_masks)) - 1, (), 0)
+    return [primes[i] for i in sorted(best[2])]
 
 
 def _render_cubes(variables, domains, cubes) -> BoolExpr:

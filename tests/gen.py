@@ -345,3 +345,27 @@ def random_plant_spec(rng: random.Random, max_components: int = 3) -> SystemSpec
         encapsulation=None,
         requirements=tuple(requirements),
     )
+
+
+# ---------------------------------------------------------------------------
+# labelled valuations for guard minimization
+
+
+def random_on_off(rng: random.Random, valuations, density: float | None = None,
+                  relevant: list[int] | None = None):
+    """Split ``valuations`` at random into an on-set and an off-set, each
+    valuation drawing on, off or unlabelled with equal odds.  With
+    ``density``, a valuation is labelled only with that probability; with
+    ``relevant``, valuations that agree on those variable indices share the
+    label drawn for the first of them."""
+    on, off = set(), set()
+    label: dict[tuple, int] = {}
+    for v in valuations:
+        if density is not None and rng.random() >= density:
+            continue
+        bucket = rng.randrange(3)
+        if relevant is not None:
+            bucket = label.setdefault(tuple(v.values_tuple[i] for i in relevant), bucket)
+        if bucket < 2:
+            (on, off)[bucket].add(v)
+    return on, off

@@ -35,12 +35,8 @@ from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import (
     _CUBE_LIMIT,
     VerificationReport,
-    _exact_cover,
-    _exact_primes,
-    _expanded_primes,
     _project,
     _render_cubes,
-    _subsets,
     integrate_supervisor,
 )
 from cpd.terms import (
@@ -341,7 +337,8 @@ def minimize_guard_oracle(
     declarations: Declarations, on: set[Valuation], off: set[Valuation]
 ) -> BoolExpr:
     """``minimize_guard`` with ``eliminate_variables_oracle`` choosing the
-    kept variables."""
+    kept variables, over a bit table of the kept variables' full space and
+    by enumerating every cube of it."""
     if not on:
         return FALSE
     on_pts = {v.values_tuple for v in on}
@@ -363,13 +360,40 @@ def minimize_guard_oracle(
     for d in domains:
         cube_count *= (1 << len(d)) - 1
 
-    # bit position per full-space valuation
-    space = list(itertools.product(*domains))
-    bit = {p: i for i, p in enumerate(space)}
+    bit, subset_masks, cube_mask = _cube_tables(domains)
     off_mask = 0
     for p in off_proj:
         off_mask |= 1 << bit[p]
     on_bits = [bit[p] for p in on_proj]
+
+    def cube_cost(cube: tuple[tuple[int, ...], ...]) -> int:
+        return sum(1 for vi, sub in enumerate(cube) if len(sub) != len(domains[vi]))
+
+    if cube_count <= _CUBE_LIMIT:
+        primes = _exact_primes(domains, subset_masks, off_mask, cube_mask)
+    else:
+        primes = _expanded_primes(domains, on_proj, off_mask, cube_mask)
+
+    chosen = _exact_cover(primes, on_bits, cube_mask, cube_cost)
+    return _render_cubes(variables, domains, chosen)
+
+
+def exact_primes_oracle(domains, off_points) -> list[tuple[tuple[int, ...], ...]]:
+    """Every prime cube, as value tuples, of the points of ``domains`` that
+    are not in ``off_points``, by enumerating every cube."""
+    bit, subset_masks, cube_mask = _cube_tables(domains)
+    off_mask = 0
+    for p in off_points:
+        off_mask |= 1 << bit[p]
+    return _exact_primes(domains, subset_masks, off_mask, cube_mask)
+
+
+def _cube_tables(domains):
+    """Bit position per point of the full space, the mask of every value
+    subset per variable, and the mask of a cube of value tuples."""
+    # bit position per full-space valuation
+    space = list(itertools.product(*domains))
+    bit = {p: i for i, p in enumerate(space)}
 
     # per variable: mask of each value subset
     subset_masks: list[dict[tuple[int, ...], int]] = []
@@ -393,16 +417,106 @@ def minimize_guard_oracle(
             m &= subset_masks[vi][sub]
         return m
 
-    def cube_cost(cube: tuple[tuple[int, ...], ...]) -> int:
-        return sum(1 for vi, sub in enumerate(cube) if len(sub) != len(domains[vi]))
+    return bit, subset_masks, cube_mask
 
-    if cube_count <= _CUBE_LIMIT:
-        primes = _exact_primes(domains, subset_masks, off_mask, cube_mask)
-    else:
-        primes = _expanded_primes(domains, on_proj, off_mask, cube_mask)
 
-    chosen = _exact_cover(primes, on_bits, cube_mask, cube_cost)
-    return _render_cubes(variables, domains, chosen)
+def _subsets(domain_values: list[int]) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    for r in range(1, len(domain_values) + 1):
+        out.extend(itertools.combinations(domain_values, r))
+    return out
+
+
+def _exact_primes(domains, subset_masks, off_mask, cube_mask):
+    """All maximal cubes avoiding the off-set, by full enumeration."""
+    all_subs = [_subsets(d) for d in domains]
+    primes = []
+    for cube in itertools.product(*all_subs):
+        if cube_mask(cube) & off_mask:
+            continue
+        prime = True
+        for vi, sub in enumerate(cube):
+            missing = [v for v in domains[vi] if v not in sub]
+            for v in missing:
+                enlarged = cube[:vi] + (tuple(sorted(sub + (v,))),) + cube[vi + 1 :]
+                if not (cube_mask(enlarged) & off_mask):
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            primes.append(cube)
+    return primes
+
+
+def _expanded_primes(domains, on_proj, off_mask, cube_mask):
+    """One maximal cube per on-point, grown value by value; sound cover
+    source when full enumeration would be too large."""
+    primes = []
+    seen = set()
+    for point in on_proj:
+        cube = tuple((v,) for v in point)
+        for vi, domain in enumerate(domains):
+            sub = cube[vi]
+            for v in domain:
+                if v in sub:
+                    continue
+                enlarged = cube[:vi] + (tuple(sorted(sub + (v,))),) + cube[vi + 1 :]
+                if not (cube_mask(enlarged) & off_mask):
+                    cube = enlarged
+                    sub = cube[vi]
+        if cube not in seen:
+            seen.add(cube)
+            primes.append(cube)
+    return primes
+
+
+def _exact_cover(primes, on_bits, cube_mask, cube_cost):
+    """Minimum cover of the on-set: fewest cubes, then fewest literals, then
+    lexicographically least cube list."""
+    if not on_bits:
+        return []
+    primes = sorted(set(primes), key=lambda c: (cube_cost(c), c))
+    masks = [cube_mask(c) for c in primes]
+    costs = [cube_cost(c) for c in primes]
+    on_all = 0
+    for b in on_bits:
+        on_all |= 1 << b
+    # drop primes not touching the on-set
+    useful = [i for i in range(len(primes)) if masks[i] & on_all]
+    primes = [primes[i] for i in useful]
+    masks = [masks[i] for i in useful]
+    costs = [costs[i] for i in useful]
+
+    covers_bit: dict[int, list[int]] = {b: [] for b in on_bits}
+    for i, m in enumerate(masks):
+        for b in on_bits:
+            if m >> b & 1:
+                covers_bit[b].append(i)
+    for b, cands in covers_bit.items():
+        if not cands:
+            raise ValueError("on-point not coverable")
+
+    no_cover = (len(primes) + 1, 0, ())
+    best: list[tuple[int, int, tuple]] = [no_cover]
+
+    def search(uncovered: int, used: tuple[int, ...], literals: int) -> None:
+        if not uncovered:
+            key = (len(used), literals, used)
+            if key < best[0]:
+                best[0] = key
+            return
+        if len(used) + 1 > best[0][0]:
+            return
+        # branch on the lowest uncovered on-bit
+        b = (uncovered & -uncovered).bit_length() - 1
+        for i in covers_bit[b]:
+            search(uncovered & ~masks[i], used + (i,), literals + costs[i])
+
+    search(on_all, (), 0)
+    if best[0] == no_cover:
+        raise ValueError("cover search failed")
+    return [primes[i] for i in sorted(best[0][2])]
 
 
 def coreachable_oracle(ss: StateSpace) -> set[int]:

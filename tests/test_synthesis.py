@@ -1,6 +1,7 @@
 """Guard synthesis: fixpoint analysis, minimization, emission, verification."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -9,13 +10,17 @@ import pytest
 from cpd.errors import ObserverError, SynthesisError
 from cpd.models import load
 from cpd.parser import parse, print_spec
+from cpd import synthesis
 from cpd.ppf import instantiate_ppf
 from cpd.printer import bool_to_str, term_to_str
 from cpd.semantics import Engine
 from cpd.statespace import explore
 from cpd.synthesis import (
+    _CUBE_LIMIT,
     SupervisorSpec,
     _eliminate_variables,
+    _expanded_primes,
+    _primes,
     analyze,
     emit_supervisor,
     guards_from_space,
@@ -39,11 +44,12 @@ from cpd.terms import (
     eval_bool,
 )
 
-from gen import random_plant_spec
+from gen import dense_spec, random_on_off, random_plant_spec
 from oracles import (
     all_cube_formulas,
     analyze_oracle,
     eliminate_variables_oracle,
+    exact_primes_oracle,
     minimize_guard_oracle,
 )
 
@@ -118,13 +124,7 @@ class TestMinimizeGuard:
             channels=())
         vals = list(decls.all_valuations())
         for _ in range(100):
-            on, off = set(), set()
-            for v in vals:
-                bucket = rng.randrange(3)
-                if bucket == 0:
-                    on.add(v)
-                elif bucket == 1:
-                    off.add(v)
+            on, off = random_on_off(rng, vals)
             g = minimize_guard(decls, on, off)
             for v in vals:
                 if v in on:
@@ -142,9 +142,7 @@ class TestMinimizeGuard:
                 variables=tuple(VariableDecl(f"v{i}", IntRange(1, n), 1)
                                 for i, n in enumerate(sizes)),
                 channels=())
-            on, off = set(), set()
-            for v in decls.all_valuations():
-                [on, off, set()][rng.randrange(3)].add(v)
+            on, off = random_on_off(rng, decls.all_valuations())
             g = minimize_guard(decls, on, off)
             assert all(eval_bool(v, g) for v in on)
             assert not any(eval_bool(v, g) for v in off)
@@ -165,13 +163,7 @@ class TestEliminateVariablesMatchesOracle:
                                 for i, n in enumerate(sizes)),
                 channels=())
             relevant = [i for i in range(len(sizes)) if rng.randrange(2)]
-            label: dict[tuple, int] = {}
-            density = rng.random()
-            on, off = set(), set()
-            for v in decls.all_valuations():
-                if rng.random() < density:
-                    key = tuple(v.values_tuple[i] for i in relevant)
-                    [on, off, set()][label.setdefault(key, rng.randrange(3))].add(v)
+            on, off = random_on_off(rng, decls.all_valuations(), rng.random(), relevant)
             on_pts = {v.values_tuple for v in on}
             off_pts = {v.values_tuple for v in off}
             keep = _eliminate_variables(decls, on_pts, off_pts)
@@ -181,6 +173,93 @@ class TestEliminateVariablesMatchesOracle:
                     == bool_to_str(minimize_guard_oracle(decls, on, off)))
         assert any(0 < k < n for k, n in kept_sizes)
         assert any(k == n > 1 for k, n in kept_sizes)
+
+    def test_primes_by_splitting_match_enumeration(self):
+        rng = random.Random(151)
+        shapes = set()
+        for _ in range(60):
+            sizes = [rng.randint(2, 6) for _ in range(rng.randint(3, 5))]
+            if math.prod((1 << n) - 1 for n in sizes) > 20_000:
+                continue  # keep the enumerating oracle fast
+            domains = [list(range(1, n + 1)) for n in sizes]
+            density = rng.choice((0.05, 0.2, 0.5))
+            off = [p for p in itertools.product(*domains) if rng.random() < density]
+            fields = [(1 << n) - 1 << sum(sizes[:i]) for i, n in enumerate(sizes)]
+            off_masks = [sum(1 << sum(sizes[:i]) + v - 1 for i, v in enumerate(p)) for p in off]
+            primes = sorted(cube_values(c, domains) for c in _primes(fields, off_masks))
+            assert primes == sorted(exact_primes_oracle(domains, off))
+            shapes.add((len(sizes), max(sizes)))
+        assert any(k == 5 for k, _ in shapes)
+        assert any(n == 6 for _, n in shapes)
+
+    def test_random_labels_on_four_value_domains(self):
+        # a literal can name two of four values, so covers of equal cost meet
+        # and the tie-break between them shows in the text
+        rng = random.Random(157)
+        for _ in range(300):
+            sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+            decls = Declarations(
+                variables=tuple(VariableDecl(f"v{i}", IntRange(1, n), 1)
+                                for i, n in enumerate(sizes)),
+                channels=())
+            on, off = random_on_off(rng, decls.all_valuations(), rng.random())
+            assert (bool_to_str(minimize_guard(decls, on, off))
+                    == bool_to_str(minimize_guard_oracle(decls, on, off)))
+
+    @pytest.mark.parametrize("name", [
+        "agv", "ppf_1_1", "ppf_1_1_tampered", "ppf_1_2.cpd", "ppf_1_3.cpd",
+        *(f"dense{seed}" for seed in range(1, 6)), "ppf(2,[2,1])"])
+    def test_every_guard_of_a_model(self, name, monkeypatch):
+        if name.endswith(".cpd"):
+            path = PERFBENCH_INPUTS / name
+            spec = parse(path.read_text(encoding="utf-8"), str(path))
+        elif name.startswith("dense"):
+            spec = dense_spec(random.Random(int(name[5:])))
+        elif name.startswith("ppf("):
+            spec = instantiate_ppf(2, [2, 1])
+        else:
+            spec = load(name)
+        calls = []
+
+        def recording(declarations, on, off):
+            calls.append((declarations, on, off))
+            return minimize_guard(declarations, on, off)
+
+        monkeypatch.setattr(synthesis, "minimize_guard", recording)
+        guards_from_space(spec, analyze(spec))
+        assert calls
+        for declarations, on, off in calls:
+            assert (bool_to_str(minimize_guard(declarations, on, off))
+                    == bool_to_str(minimize_guard_oracle(declarations, on, off)))
+
+    def test_above_cube_limit_grows_one_cube_per_on_point(self, monkeypatch):
+        # five kept variables over 1..4 span 15^5 cubes, past the limit
+        assert 15 ** 5 > _CUBE_LIMIT
+        decls = Declarations(
+            variables=tuple(VariableDecl(f"v{i}", IntRange(1, 4), 1) for i in range(5)),
+            channels=())
+        vals = list(decls.all_valuations())
+        grown = []
+        monkeypatch.setattr(synthesis, "_expanded_primes",
+                            lambda *args: grown.append(args) or _expanded_primes(*args))
+        rng = random.Random(163)
+        for _ in range(10):
+            labelled = rng.sample(vals, 300)
+            on, off = set(labelled[:8]), set(labelled[8:])
+            g = minimize_guard(decls, on, off)
+            assert bool_to_str(g) == bool_to_str(minimize_guard_oracle(decls, on, off))
+            assert all(eval_bool(v, g) for v in on)
+            assert not any(eval_bool(v, g) for v in off)
+        assert len(grown) == 10
+
+
+def cube_values(cube, domains):
+    """A cube of bit fields as one tuple of values per variable."""
+    out, at = [], 0
+    for domain in domains:
+        out.append(tuple(v for j, v in enumerate(domain) if cube >> at + j & 1))
+        at += len(domain)
+    return tuple(out)
 
 
 def formula_cost(g):
