@@ -15,38 +15,51 @@ practice.
 
 Each call numbers the distinct actions it meets, in both spaces, and works
 on those indices: a state's table maps an action index to its targets in
-edge order, and B is a list of booleans with one predicate call per distinct
-action, made when the action gets its index.  A state's table is built the
-first time the product BFS reaches the state, so a plant much larger than
-the supervised space it is compared with is only read where the product
-goes.  The same edge pass counts the state's B-actions and records whether
-its targets include unmarked states, marked states, or both.
+edge order, and B is an int with one bit per action index, set by one
+predicate call per distinct action, made when the action gets its index.
+A state's table is built the first time the product reaches the state, so
+a plant much larger than the supervised space it is compared with is only
+read where the product goes.  The same edge pass gives the state its
+signature, one int: a bit per action index of the state, and whether its
+targets include unmarked states, marked states, or both.
 
-The BFS numbers each pair in discovery order and stores no predecessor
-lists.  It keeps a partner set per left state: the right states already
-paired with it.  For a common action, a left target whose partners cover
-the right targets adds nothing and is skipped with one ``issuperset`` call;
-otherwise the right targets are walked in edge order and only the missing
-pairs are added.  Pairs are thus discovered in the order that building and
-looking up every (left target, right target) pair would give, but a left
-target with nothing new costs one call instead of a look-up per right
-target.  When a pair is removed, its parents are found on demand: the
-discovered pairs with an edge on a common action into it.  Only those alive
-and not yet scheduled are sorted by discovery number.  The reverse tables
-this reads are built once, from the forward tables, at the first removal.
+The clean rule (Henzinger, Henzinger and Kopke, "Computing simulations on
+finite and infinite graphs", FOCS 1995) lives in ``_clean_rule`` and reads
+only the signatures of a pair's two states and the B bits.  A pair is clean
+when its first check must pass: every action of the left state has targets
+at the right, every B-action of the right state has targets at the left, and
+the targets of both are all unmarked or all marked, or the left state has
+none.  Every child of a clean pair is reached from it and none fails
+termination, so each clause finds a live partner until a child is removed.
+A pair whose actions do not nest that way fails its first check whatever is
+removed.  Any other pair passes it unless a child differs in marking.
 
-Only a pair whose verdict can change is checked (Henzinger, Henzinger and
-Kopke, "Computing simulations on finite and infinite graphs", FOCS 1995).
-Expanding pair (i, j), the BFS marks it clean when its first check must
-pass: every action of i has targets at j, every B-action of j has targets
-at i (i's actions are then a subset of j's, so equal B-action counts
-suffice), and the targets of i and of j are all unmarked or all marked, or
-i has none.  A pair whose states differ in marking is removed before the
-fixpoint starts, so the mark is not part of the rule.  Every child of a
-clean pair is discovered while it is expanded and none fails termination,
-so each clause finds a live partner until a child is removed.  The fixpoint
-skips clean pairs, and a removal takes its parents out of the clean set
-before it schedules them.
+The call runs in two stages.  The first, ``_settle``, ignores order.  It
+grows one partner set per left state, the right states paired with it,
+through a FIFO of left states, a batch of new partners at a time: for each
+action of the left state, the right targets of the whole batch are one set
+union.  It checks the batch's marks against the left state's with one set
+operation, and judges the batch's pairs once per distinct right signature.
+If no pair differs in marking and none fails its first check, every pair
+passes its first check against the full pair set, so the fixpoint removes
+nothing and the relation is every reached pair.  That set does not depend on
+the order in which pairs were found, and the call returns it as the witness.
+
+Otherwise, as soon as one pair shows a removal, the second stage,
+``_ordered``, takes over with the tables built so far.  Its product BFS
+numbers each pair in discovery order and stores no predecessor lists.  It
+keeps a partner set per left state.  For a common action, a left target
+whose partners cover the right targets adds nothing and is skipped with one
+``issuperset`` call; otherwise the right targets are walked in edge order
+and only the missing pairs are added.  Pairs are thus discovered in the
+order that building and looking up every (left target, right target) pair
+would give.  The clean pairs are the ones the clean rule proves.  The
+fixpoint skips them, and a removal takes its parents out of the clean set
+before it schedules them.  When a pair is removed, its parents are found on
+demand: the discovered pairs with an edge on a common action into it.  Only
+those alive and not yet scheduled are sorted by discovery number.  The
+reverse tables this reads are built once, from the forward tables, at the
+first removal.
 
 The removal order is kept exactly, because the counterexample depends on
 it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
@@ -62,7 +75,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Callable
 
 from .statespace import StateSpace
@@ -154,19 +167,61 @@ class RelationResult:
     direction: str = "forward"
 
 
-def _tables(ss: StateSpace, action_ids: dict[Action, int], in_b: list[bool],
-            pred: Callable[[Action], bool]):
-    """The per-state tables of ``ss`` built so far, each built state's facts,
-    and the function that returns a state's ``{action index: [targets]}``
-    table, building it in edge order on first use.  A new action gets the
-    next index in ``action_ids`` and its one predicate call in ``in_b``.  A
-    state's facts are one int: four times its number of B-actions plus a
-    mask of its targets' marks, 1 for some unmarked target and 2 for some
-    marked one."""
+class _Actions:
+    """The distinct actions one call meets, in both spaces, numbered in the
+    order met.  Bit a of ``in_b`` is set when action a is in B; the
+    predicate is called once per action, when the action gets its index."""
+
+    def __init__(self, pred: Callable[[Action], bool]) -> None:
+        self.pred = pred
+        self.ids: dict[Action, int] = {}
+        self.in_b = 0
+
+    def index(self, action: Action) -> int:
+        a = self.ids.get(action)
+        if a is None:
+            a = self.ids[action] = len(self.ids)
+            if self.pred(action):
+                self.in_b |= 1 << a
+        return a
+
+
+# the clean rule's verdicts on a pair
+_FAILS, _PASSES, _CLEAN = 0, 1, 2
+
+
+def _clean_rule(lsig: int, rsig: int, in_b: int) -> int:
+    """The clean rule for a pair, from its left and right state's signatures
+    (``_tables``) and the B bits: ``_CLEAN`` when the pair's first check
+    must pass, ``_PASSES`` when every action of the left state has targets at
+    the right and every B-action of the right state has targets at the left,
+    so the first check passes unless a child differs in marking, and
+    ``_FAILS`` when it fails whatever is removed.  A left state without
+    edges (mark mask 0) leaves no child to fail termination."""
+    lbits = lsig >> 2
+    rbits = rsig >> 2
+    # with the left's actions among the right's, lbits ^ rbits holds the
+    # right's actions the left lacks
+    if lbits & ~rbits or (lbits ^ rbits) & in_b:
+        return _FAILS
+    lmask = lsig & 3
+    if not lmask or (lmask | rsig) & 3 != 3:
+        return _CLEAN
+    return _PASSES
+
+
+def _tables(ss: StateSpace, actions: _Actions):
+    """The per-state tables of ``ss`` built so far, each built state's
+    signature, and the function that returns a state's ``{action index:
+    [targets]}`` table, building it in edge order on first use.  A state's
+    signature is one int: bit a + 2 is set for each of its action indices
+    a, and the low two bits are a mask of its targets' marks, 1 for some
+    unmarked target and 2 for some marked one."""
     succ = ss.succ
     marked = ss.marked
+    index = actions.index
     built: dict[int, dict[int, list[int]]] = {}
-    facts: dict[int, int] = {}
+    sig: dict[int, int] = {}
     # an explored space holds one object per distinct action, and hashing an
     # Action runs Python code, so edges look their index up by object id
     by_id: dict[int, int] = {}
@@ -175,25 +230,22 @@ def _tables(ss: StateSpace, action_ids: dict[Action, int], in_b: list[bool],
         out = built.get(state)
         if out is None:
             out = built[state] = {}
-            mask = 0
+            bits = 0
             for action, dst in succ[state]:
                 a = by_id.get(id(action))
                 if a is None:
-                    a = action_ids.get(action)
-                    if a is None:
-                        a = action_ids[action] = len(in_b)
-                        in_b.append(pred(action))
-                    by_id[id(action)] = a
+                    a = by_id[id(action)] = index(action)
                 targets = out.get(a)
                 if targets is None:
                     out[a] = [dst]
+                    bits |= 4 << a
                 else:
                     targets.append(dst)
-                mask |= 2 if dst in marked else 1
-            facts[state] = sum(map(in_b.__getitem__, out)) << 2 | mask
+                bits |= 2 if dst in marked else 1
+            sig[state] = bits
         return out
 
-    return built, facts, table
+    return built, sig, table
 
 
 def _reverse(built: dict[int, dict[int, list[int]]]) -> dict[int, dict[int, list[int]]]:
@@ -213,15 +265,85 @@ def partial_bisim(
     the two initial states are related.  The action-set predicate is called
     once per distinct action of the states the product reaches, not once per
     edge."""
-    pred = action_predicate(bisim_actions)
-    action_ids: dict[Action, int] = {}
-    in_b: list[bool] = []
-    lbuilt, lfacts, ltable_of = _tables(left, action_ids, in_b, pred)
-    rbuilt, rfacts, rtable_of = _tables(right, action_ids, in_b, pred)
+    actions = _Actions(action_predicate(bisim_actions))
+    lside = _tables(left, actions)
+    rside = _tables(right, actions)
+    witness = _settle(left, right, lside, rside, actions)
+    if witness is not None:
+        return RelationResult(holds=True, witness=witness)
+    return _ordered(left, right, lside, rside, actions)
+
+
+def _settle(left: StateSpace, right: StateSpace, lside, rside,
+            actions: _Actions) -> frozenset[tuple[int, int]] | None:
+    """The order-free stage: every product-reachable pair when the fixpoint
+    would remove none of them, else None as soon as a pair shows that it
+    would (module docstring)."""
+    _, lsig, ltable_of = lside
+    rbuilt, rsig, rtable_of = rside
+    lmarked = left.marked
+    rmarked = right.marked
+    # {action index: {right state: targets}} over the right tables built here
+    by_action: dict[int, dict[int, list[int]]] = {}
+    # reach[i] holds the right states paired with left state i, and
+    # pending[i] those of them not yet expanded; i is queued iff it is pending
+    root_left = left.initial
+    reach = {root_left: {right.initial}}
+    pending = {root_left: {right.initial}}
+    queue = deque([root_left])
+    while queue:
+        i = queue.popleft()
+        batch = pending.pop(i)
+        if i in lmarked:
+            if not batch <= rmarked:
+                return None
+        elif not batch.isdisjoint(rmarked):
+            return None
+        for j in batch.difference(rbuilt):
+            for a, targets in rtable_of(j).items():
+                per_state = by_action.get(a)
+                if per_state is None:
+                    by_action[a] = {j: targets}
+                else:
+                    per_state[j] = targets
+        ltable = ltable_of(i)
+        ls = lsig[i]
+        for rs in set(map(rsig.__getitem__, batch)):
+            if _clean_rule(ls, rs, actions.in_b) == _FAILS:
+                return None
+        # no pair fails, so every right state of the batch has i's actions
+        for a, ltargets in ltable.items():
+            targets = set().union(*map(by_action[a].__getitem__, batch))
+            for li in ltargets:
+                partners = reach.get(li)
+                if partners is None:
+                    reach[li] = targets.copy()
+                    pending[li] = targets.copy()
+                    queue.append(li)
+                    continue
+                new = targets - partners
+                if new:
+                    partners |= new
+                    waiting = pending.get(li)
+                    if waiting is None:
+                        pending[li] = new
+                        queue.append(li)
+                    else:
+                        waiting |= new
+    return frozenset(chain.from_iterable(map(zip, map(repeat, reach), reach.values())))
+
+
+def _ordered(left: StateSpace, right: StateSpace, lside, rside,
+             actions: _Actions) -> RelationResult:
+    """The ordered stage: the product BFS numbers the pairs in discovery
+    order, and the fixpoint's removal order, and so the counterexample,
+    follows it (module docstring)."""
+    lbuilt, lsig, ltable_of = lside
+    rbuilt, rsig, rtable_of = rside
 
     # product BFS; a pair's discovery index is its position in order, and
     # reach[li] holds the right states already paired with left state li.
-    # proved lists the pairs whose first check must pass (module docstring)
+    # proved lists the pairs the clean rule proves (module docstring)
     root = (left.initial, right.initial)
     index: dict[tuple[int, int], int] = {root: 0}
     order = [root]
@@ -230,11 +352,9 @@ def partial_bisim(
     for pair in order:
         i, j = pair
         rtable = rtable_of(j)
-        covered = True
         for a, ltargets in ltable_of(i).items():
             rtargets = rtable.get(a)
             if rtargets is None:
-                covered = False
                 continue
             for li in ltargets:
                 partners = reach.get(li)
@@ -248,15 +368,12 @@ def partial_bisim(
                         child = (li, rj)
                         index[child] = len(order)
                         order.append(child)
-        # all of i's actions are j's, so equal B-action counts make j's
-        # B-actions i's; mask 0 (no edges) leaves no child to fail clause 1
-        if covered:
-            lfact = lfacts[i]
-            rfact = rfacts[j]
-            if lfact >> 2 == rfact >> 2 and (not lfact & 3 or (lfact | rfact) & 3 != 3):
-                proved.append(pair)
+        if _clean_rule(lsig[i], rsig[j], actions.in_b) == _CLEAN:
+            proved.append(pair)
     del reach  # the fixpoint does not read it; freeing it lowers the peak
-    actions = list(action_ids)
+    # every table is built, so no action gets an index from here on
+    named = list(actions.ids)
+    in_b = actions.in_b
 
     # clause, action, continuation pair (already removed) or None
     reason: dict[tuple[int, int], tuple[int, Action | None, tuple[int, int] | None]] = {}
@@ -295,9 +412,9 @@ def partial_bisim(
                     dead.append((li, rj))
                 else:
                     cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (2, actions[a], cont)
+                    return (2, named[a], cont)
         for a, rtargets in rtable.items():
-            if not in_b[a]:
+            if not in_b >> a & 1:
                 continue
             ltargets = ltable.get(a, ())
             for rj in rtargets:
@@ -308,7 +425,7 @@ def partial_bisim(
                     dead.append((li, rj))
                 else:
                     cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (3, actions[a], cont)
+                    return (3, named[a], cont)
         return None
 
     # reverse tables {target: {action index: [sources]}}, left and right,

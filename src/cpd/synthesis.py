@@ -162,19 +162,16 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
 _CUBE_LIMIT = 300_000
 
 
-def _project(points: set[tuple], keep: list[int]) -> set[tuple]:
-    return {tuple(p[i] for i in keep) for p in points}
-
-
 def _eliminate_variables(
     declarations: Declarations, on: set[tuple], off: set[tuple]
-) -> list[int]:
-    """Indices of variables that are needed to separate on from off;
-    the others never distinguish the two sets.  One pass in variable order
-    drops each variable whose removal keeps the projected sets apart, and
-    projects the already-projected sets.  Projection only merges points, so
-    a variable kept once could never be dropped later: the pass keeps the
-    same set as rescanning after every drop."""
+) -> tuple[list[int], set[tuple], set[tuple]]:
+    """Indices of variables that are needed to separate on from off, and
+    the on and off points projected onto them; the other variables never
+    distinguish the two sets.  One pass in variable order drops each
+    variable whose removal keeps the projected sets apart, and projects the
+    already-projected sets.  Projection only merges points, so a variable
+    kept once could never be dropped later: the pass keeps the same set as
+    rescanning after every drop."""
     keep: list[int] = []
     for var in range(len(declarations.variables)):
         # the points hold the kept variables, then var and those after it
@@ -185,7 +182,7 @@ def _eliminate_variables(
             keep.append(var)
         else:
             on, off = on_rest, off_rest
-    return keep
+    return keep, on, off
 
 
 def minimize_guard(
@@ -206,7 +203,7 @@ def minimize_guard(
     if not off_pts:
         return TRUE
 
-    keep = _eliminate_variables(declarations, on_pts, off_pts)
+    keep, on_kept, off_kept = _eliminate_variables(declarations, on_pts, off_pts)
     if not keep:
         return TRUE
     variables = [declarations.variables[i] for i in keep]
@@ -221,12 +218,12 @@ def minimize_guard(
         width += len(domain)
 
     def masks(points: set[tuple]) -> list[int]:
-        return [sum(b[v] for b, v in zip(bits, p)) for p in sorted(_project(points, keep))]
+        return [sum(b[v] for b, v in zip(bits, p)) for p in sorted(points)]
 
     def values(cube: int) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(v for v, b in vb.items() if cube & b) for vb in bits)
 
-    on_masks, off_masks = masks(on_pts), masks(off_pts)
+    on_masks, off_masks = masks(on_kept), masks(off_kept)
     if math.prod((1 << len(d)) - 1 for d in domains) <= _CUBE_LIMIT:
         primes = _primes(fields, off_masks)
     else:

@@ -148,6 +148,31 @@ def random_graph_space(rng: random.Random, actions, states: int = 6,
     return StateSpace(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
 
 
+def doubled_pair(rng: random.Random, actions, states: int = 6):
+    """A graph space with at most one edge per action at each state, and its
+    doubled copy.  State s of the left has the copies s and s + ``states`` on
+    the right, both with the mark of s, and each left edge on an action to t
+    becomes, at each copy, an edge on that action to t, to t + ``states`` or
+    to both.  The product reaches only pairs of a state and one of its
+    copies, which are bisimilar, so partial bisimulation removes no pair
+    under any action set.  Each state is marked with probability 1/2 and has
+    none to all of ``actions``."""
+    def order(edges):
+        return sorted(edges, key=lambda e: (e[0].sort_key(), e[1]))
+
+    succ = [order((a, rng.randrange(states))
+                  for a in rng.sample(actions, rng.randint(0, len(actions))))
+            for _ in range(states)]
+    marked = {s for s in range(states) if rng.random() < 0.5}
+    copies = [order({(a, c) for a, t in edges
+                     for c in rng.choice(((t,), (t + states,), (t, t + states)))})
+              for edges in succ + succ]
+    left = StateSpace(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
+    right = StateSpace(REL_DECLS, [None] * 2 * states, 0,
+                       marked | {s + states for s in marked}, [None] * 2 * states, copies)
+    return left, right
+
+
 def _chain(actions, copies, end):
     """``actions[0]`` then ... then ``actions[-1]`` then ``end``; each step
     has one summand per value in ``copies``, setting x to that value."""
@@ -158,26 +183,34 @@ def _chain(actions, copies, end):
     return term
 
 
-def deep_failing_pair(rng: random.Random, depth: int):
+# how the two chains of deep_failing_pair end: indices into its ends
+DEEP_ENDS = {"termination": (0, 1), "last step": (2,),
+             "extra on the right": (3,), "extra on the left": (4,)}
+
+
+def deep_failing_pair(rng: random.Random, depth: int, end: str | None = None):
     """Explored spaces of two closed terms that agree on a chain of
     ``depth`` random steps and differ only after it: in termination, in the
-    last step, or by one extra step on either side.  Each side's steps set
-    x to 1, to 2 or both, so a product pair on the chain has up to four
-    parents and a failure at the end cascades through all of them back to
-    the root: a failing play has ``depth + 1`` moves."""
+    last step, or by one extra step on either side: ``end``, a key of
+    ``DEEP_ENDS``, or at random.  Each side's steps set x to 1, to 2 or
+    both, so a product pair on the chain has up to four parents and a
+    failure at the end cascades through all of them back to the root: a
+    failing play has ``depth + 1`` moves."""
     actions = [_rel_action(rng) for _ in range(depth)]
     last, other = rng.sample([send(c) for c in REL_CHANNELS], 2)
-    left_end, right_end = rng.choice((
+    ends = [
         (TERMINATION, DEADLOCK),
         (DEADLOCK, TERMINATION),
         (Prefix(last, EMPTY_UPDATE, TERMINATION), Prefix(other, EMPTY_UPDATE, TERMINATION)),
         (TERMINATION, Alt(TERMINATION, Prefix(last, EMPTY_UPDATE, TERMINATION))),
         (Alt(TERMINATION, Prefix(last, EMPTY_UPDATE, TERMINATION)), TERMINATION),
-    ))
+    ]
+    if end is not None:
+        ends = [ends[k] for k in DEEP_ENDS[end]]
     spaces = []
-    for end in (left_end, right_end):
+    for tail in rng.choice(ends):
         copies = rng.choice(((1,), (2,), (1, 2), (2, 1)))
-        term = _chain(actions, copies, end)
+        term = _chain(actions, copies, tail)
         root = Configuration(term, REL_DECLS.initial_environment())
         spaces.append(explore(root, REL_DECLS))
     return tuple(spaces)

@@ -35,7 +35,6 @@ from cpd.statespace import DEFAULT_BUDGET, StateSpace, backward_closure, explore
 from cpd.synthesis import (
     _CUBE_LIMIT,
     VerificationReport,
-    _project,
     _render_cubes,
     integrate_supervisor,
 )
@@ -314,6 +313,10 @@ def exhaustive_partial_bisim(left: StateSpace, right: StateSpace, bisim_actions)
 
 # ---------------------------------------------------------------------------
 # guard minimization
+
+def _project(points: set[tuple], keep: list[int]) -> set[tuple]:
+    return {tuple(p[i] for i in keep) for p in points}
+
 
 def eliminate_variables_oracle(
     declarations: Declarations, on: set[tuple], off: set[tuple]

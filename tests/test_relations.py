@@ -1,11 +1,13 @@
 """Partial bisimulation: examples, random agreement with oracles, preorder laws."""
 
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from cpd import relations
 from cpd.control import renamed_plant, supervised_plant
 from cpd.errors import SynthesisError
 from cpd.ppf import instantiate_ppf
@@ -34,6 +36,7 @@ from gen import (
     deep_failing_pair,
     dense_spaces,
     dense_spec,
+    doubled_pair,
     random_graph_space,
     random_plant_spec,
     random_small_space,
@@ -264,9 +267,9 @@ class TestMatchesStoredPredecessorOracle:
         assert all(play_length(unguarded, guarded, b) for b in BISIM_ACTIONS)
 
     def test_synthesized_dense_cells(self):
-        # every pair has twelve u targets on each side, so the product search
-        # mostly meets left targets whose partners already cover the right
-        # targets
+        # each state has twelve u edges to nine distinct targets (a setter
+        # that writes a variable's own value loops), so a left state meets
+        # the same right targets from many partners
         rng = random.Random(101)
         for _ in range(3):
             spec = dense_spec(rng)
@@ -310,8 +313,145 @@ class TestCleanPairEdges:
         assert {0, 1, 2, 3} <= lengths
 
 
-def reached_states(left, right):
-    """Left and right states of the product-reachable pairs."""
+class Handover(Exception):
+    """The ordered stage ran where the order-free one should decide."""
+
+
+def order_free(monkeypatch):
+    """Make the ordered stage raise ``Handover``."""
+    def ordered(*args):
+        raise Handover
+    monkeypatch.setattr(relations, "_ordered", ordered)
+
+
+def ordered_calls(monkeypatch) -> list:
+    """One entry per run of the ordered stage from now on."""
+    calls = []
+    ordered = relations._ordered
+    monkeypatch.setattr(relations, "_ordered", lambda *a: calls.append(a) or ordered(*a))
+    return calls
+
+
+def removes_nothing(left, right, want) -> bool:
+    """Whether the oracle's result ``want`` keeps every product-reachable
+    pair."""
+    return want.holds and want.witness == reached_pairs(left, right)
+
+
+def settles(left, right, b) -> bool:
+    """Whether the order-free stage decides alone, with ``order_free`` in
+    effect; it must decide exactly when the oracle removes no pair, and then
+    give the oracle's verdict and witness."""
+    want = partial_bisim_oracle(left, right, b)
+    try:
+        got = partial_bisim(left, right, b)
+    except Handover:
+        assert not removes_nothing(left, right, want)
+        return False
+    assert removes_nothing(left, right, want)
+    assert (got.holds, got.witness, got.counterexample) == (True, want.witness, None)
+    return True
+
+
+def mixed_targets(ss, state) -> bool:
+    """Whether the state has both marked and unmarked targets: a pair with
+    it on the left is not clean, and passes its first check only while no
+    child differs in marking."""
+    return {dst in ss.marked for _, dst in ss.succ[state]} == {True, False}
+
+
+class TestOrderFreeStage:
+    """When the fixpoint would remove no pair, the order-free stage returns
+    every reached pair without the ordered product search."""
+
+    def test_synthesized_dense_cells(self, monkeypatch):
+        order_free(monkeypatch)
+        rng = random.Random(101)
+        for _ in range(3):
+            supervised, plant = supervised_and_plant(dense_spec(rng))
+            for b in ("uncontrollable", "none"):
+                assert settles(supervised, plant, b)
+
+    def test_a_space_against_itself(self, monkeypatch):
+        order_free(monkeypatch)
+        spaces = list(supervised_and_plant(dense_spec(random.Random(101))))
+        for name in ("agv", "ppf_1_1"):
+            spec = load(name)
+            spaces.append(explore(supervised_plant(spec), spec.declarations))
+            spaces.append(explore(renamed_plant(spec), spec.declarations))
+        rng = random.Random(113)
+        spaces += [random_small_space(rng, max_states=30) for _ in range(40)]
+        settled = [[settles(ss, ss, b) for b in BISIM_ACTIONS] for ss in spaces]
+        # the u steps pair every state of a dense cell with every other: the
+        # plant's states all allow the same commands, the supervised ones do
+        # not, and those pairs are removed
+        assert settled[0] == [False] * 3 and settled[1] == [True] * 3
+
+    def test_doubled_spaces(self, monkeypatch):
+        order_free(monkeypatch)
+        rng = random.Random(127)
+        unclean = 0
+        for _ in range(200):
+            left, right = doubled_pair(rng, (send(C), send(D), send(U)))
+            for b in BISIM_ACTIONS:
+                assert settles(left, right, b)
+            unclean += any(mixed_targets(left, i) for i, _ in reached_pairs(left, right))
+        assert unclean >= 50
+
+
+class TestHandover:
+    """A pair the fixpoint removes sends the call to the ordered stage,
+    whose verdict, witness and counterexample the oracle fixes."""
+
+    def check(self, calls, left, right, b) -> int:
+        before = len(calls)
+        length = play_length(left, right, b)
+        want = partial_bisim_oracle(left, right, b)
+        assert len(calls) - before == (not removes_nothing(left, right, want))
+        return length
+
+    def test_marking_differs_deep(self, monkeypatch):
+        calls = ordered_calls(monkeypatch)
+        rng = random.Random(131)
+        for _ in range(20):
+            depth = rng.randint(5, 8)
+            left, right = deep_failing_pair(rng, depth, "termination")
+            for b in BISIM_ACTIONS:
+                assert self.check(calls, left, right, b) == depth + 1
+
+    def test_unclean_pair_fails_its_first_check(self, monkeypatch):
+        calls = ordered_calls(monkeypatch)
+        rng = random.Random(137)
+        lengths = set()
+        for end in ("last step", "extra on the right", "extra on the left"):
+            for _ in range(10):
+                left, right = deep_failing_pair(rng, rng.randint(5, 8), end)
+                for b in BISIM_ACTIONS:
+                    lengths.add(self.check(calls, left, right, b))
+        assert 0 in lengths and {6, 7, 8, 9} <= lengths
+
+    def test_one_copy_differs(self, monkeypatch):
+        # a copy that differs in marking or has lost its edges is removed,
+        # and the relation can still hold through the other copy
+        calls = ordered_calls(monkeypatch)
+        rng = random.Random(139)
+        outcomes = set()
+        for _ in range(200):
+            left, right = doubled_pair(rng, (send(C), send(D), send(U)))
+            state = rng.choice(sorted({j for _, j in reached_pairs(left, right)}))
+            if rng.randrange(2):
+                right = replace(right, marked=right.marked ^ {state})
+            else:
+                right = replace(right, succ=[[] if s == state else edges
+                                             for s, edges in enumerate(right.succ)])
+            for b in BISIM_ACTIONS:
+                before = len(calls)
+                outcomes.add((self.check(calls, left, right, b) > 0, len(calls) > before))
+        assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+def reached_pairs(left, right):
+    """The product-reachable pairs."""
     lsucc, rsucc = _tables(left), _tables(right)
     root = (left.initial, right.initial)
     seen, stack = {root}, [root]
@@ -322,6 +462,12 @@ def reached_states(left, right):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
+    return seen
+
+
+def reached_states(left, right):
+    """Left and right states of the product-reachable pairs."""
+    seen = reached_pairs(left, right)
     return {i for i, _ in seen}, {j for _, j in seen}
 
 

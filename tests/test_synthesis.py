@@ -46,6 +46,7 @@ from cpd.terms import (
 
 from gen import dense_spec, random_on_off, random_plant_spec
 from oracles import (
+    _project,
     all_cube_formulas,
     analyze_oracle,
     eliminate_variables_oracle,
@@ -166,8 +167,9 @@ class TestEliminateVariablesMatchesOracle:
             on, off = random_on_off(rng, decls.all_valuations(), rng.random(), relevant)
             on_pts = {v.values_tuple for v in on}
             off_pts = {v.values_tuple for v in off}
-            keep = _eliminate_variables(decls, on_pts, off_pts)
+            keep, on_kept, off_kept = _eliminate_variables(decls, on_pts, off_pts)
             assert keep == eliminate_variables_oracle(decls, on_pts, off_pts)
+            assert (on_kept, off_kept) == (_project(on_pts, keep), _project(off_pts, keep))
             kept_sizes.add((len(keep), len(sizes)))
             assert (bool_to_str(minimize_guard(decls, on, off))
                     == bool_to_str(minimize_guard_oracle(decls, on, off)))
