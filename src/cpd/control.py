@@ -8,12 +8,12 @@ plant under the completion renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ModelError
 from .parser import SystemSpec
 from .printer import requirement_to_str
+from .records import Record
 from .relations import RelationResult, partial_bisim
 from .semantics import Configuration, Engine, xi_rename
 from .statespace import StateSpace, coreachable
@@ -62,8 +62,7 @@ def satisfies(c: Configuration, r: Requirement, declarations: Declarations) -> b
     return not requirement_fails(r, c.env.alpha, enabled)
 
 
-@dataclass
-class Violation:
+class Violation(Record):
     state: int
     requirement: Requirement
 
@@ -72,8 +71,7 @@ class Violation:
         return f"state {self.state} ({values}) violates: {requirement_to_str(self.requirement)}"
 
 
-@dataclass
-class GlobalSatisfaction:
+class GlobalSatisfaction(Record):
     holds: bool
     violations: list[Violation]
     # shortest trail from the initial state to the first violating state
@@ -164,8 +162,7 @@ def check_controllability(supervised: StateSpace, plant: StateSpace) -> Relation
     return partial_bisim(supervised, plant, "uncontrollable")
 
 
-@dataclass
-class NonblockingResult:
+class NonblockingResult(Record):
     holds: bool
     blocking: set[int]
     # shortest trail into a blocking state

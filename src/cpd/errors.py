@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     """A positioned message about a specification source file."""
 
     file: str

@@ -25,9 +25,9 @@ subscripts and cannot be declared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import Diagnostic, SpecError
+from .records import Frozen, Record
 from .printer import (
     actionset_to_str,
     requirement_to_str,
@@ -105,8 +105,7 @@ _TOKEN_RE = re.compile(
 _SUB_RE = re.compile(r"_[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Frozen):
     kind: str  # name, int, sub, sym, eof
     text: str
     line: int
@@ -149,8 +148,7 @@ class _ParseFail(Exception):
     """Internal: an uncommitted parse attempt failed; position may be rewound."""
 
 
-@dataclass
-class SystemSpec:
+class SystemSpec(Record):
     """A parsed specification: declarations, named processes, and the control problem."""
 
     declarations: Declarations

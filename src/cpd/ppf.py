@@ -9,7 +9,7 @@ single-counter single-op instance drops all index suffixes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .parser import SystemSpec, parse
 

@@ -74,10 +74,10 @@ removals cannot change it, and a failing result carries no witness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import chain, product, repeat
-from typing import Callable
 
+from .records import Frozen, Record
 from .statespace import StateSpace
 from .terms import Action
 
@@ -110,8 +110,7 @@ def action_predicate(bisim_actions: BisimActions) -> Callable[[Action], bool]:
     return lambda a: a in actions
 
 
-@dataclass(frozen=True)
-class PlayStep:
+class PlayStep(Frozen):
     """One move of a distinguishing play at a pair of states."""
 
     left: int
@@ -120,8 +119,7 @@ class PlayStep:
     action: Action | None  # None for clause 1
 
 
-@dataclass
-class Counterexample:
+class Counterexample(Record):
     steps: tuple[PlayStep, ...]
 
     def trail(self) -> list[Action]:
@@ -157,8 +155,7 @@ class Counterexample:
         return "\n".join(lines)
 
 
-@dataclass
-class RelationResult:
+class RelationResult(Record):
     holds: bool
     witness: frozenset[tuple[int, int]] | None = None
     counterexample: Counterexample | None = None

@@ -32,10 +32,10 @@ nesting depth of alternating operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ModelError
+from .records import Frozen
 from .terms import (
     Action,
     ActionSet,
@@ -62,8 +62,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     term: ProcessTerm
     env: Environment
 

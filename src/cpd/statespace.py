@@ -52,24 +52,23 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import BudgetError
+from .records import Record
 from .semantics import Configuration, Engine, Skeleton
 from .terms import Action, Declarations, Environment, canonical_id
 
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass
-class StateSpace:
+class StateSpace(Record):
     declarations: Declarations
     states: list[Configuration]
     initial: int
     marked: set[int]
     # breadth-first tree: parents[s] = (predecessor, action), None at the root
     parents: list[tuple[int, Action] | None]
-    succ: list[list[tuple[Action, int]]] = field(repr=False)
+    succ: list[list[tuple[Action, int]]]
 
     def __len__(self) -> int:
         return len(self.states)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Container
-from dataclasses import dataclass
 
 from .errors import ObserverError, SynthesisError
 from .parser import SystemSpec
 from .printer import bool_to_str
+from .records import Record
 from .control import (
     GlobalSatisfaction,
     NonblockingResult,
@@ -60,8 +60,7 @@ from .terms import (
 )
 
 
-@dataclass
-class SupervisorSpec:
+class SupervisorSpec(Record):
     """Guard per controllable channel plus the termination guard of the
     canonical supervisor shape (sum of guarded sends under iteration)."""
 
@@ -77,8 +76,7 @@ def _disabled(ss: StateSpace, bad: Container[int], forbidden: Container[tuple[in
         dst in bad for action, dst in ss.succ[state] if action.channel == channel)
 
 
-@dataclass
-class SynthesisSpace:
+class SynthesisSpace(Record):
     """The explored renamed plant with the fixpoint verdicts."""
 
     space: StateSpace
@@ -336,8 +334,7 @@ def _render_cubes(variables, domains, cubes) -> BoolExpr:
 # ---------------------------------------------------------------------------
 # synthesis driver
 
-@dataclass
-class SynthesisReport:
+class SynthesisReport(Record):
     guards: dict[str, str]
     termination_guard: str
     bad_states: int
@@ -447,8 +444,7 @@ def integrate_supervisor(spec: SystemSpec, sup: SupervisorSpec) -> SystemSpec:
     )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     requirements: GlobalSatisfaction
     controllability: RelationResult
     nonblocking: NonblockingResult

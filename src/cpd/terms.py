@@ -13,17 +13,16 @@ values are integers; enumerated constants are integers with a printable name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from collections.abc import Callable, Iterator, Mapping
 
 from .errors import SpecError
+from .records import Frozen
 
 
 # ---------------------------------------------------------------------------
 # channels and actions
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Frozen):
     name: str
     controllable: bool
 
@@ -31,8 +30,7 @@ class Channel:
         return self.name
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Frozen):
     """A communication with ``senders`` sender and ``receivers`` receiver parties."""
 
     channel: Channel
@@ -80,32 +78,28 @@ def completed(channel: Channel, receivers: int = 1) -> Action:
 # ---------------------------------------------------------------------------
 # data expressions
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Frozen):
     value: int
 
 
-@dataclass(frozen=True)
-class EnumConst:
+class EnumConst(Frozen):
     """A named constant from an enumerated domain; behaves as its ordinal."""
 
     name: str
     value: int
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Frozen):
     op: str  # one of + - *
     left: "DataExpr"
     right: "DataExpr"
 
 
-DataExpr = Union[IntLit, EnumConst, VarRef, BinOp]
+DataExpr = IntLit | EnumConst | VarRef | BinOp
 
 
 def eval_data(alpha: Mapping[str, int], e: DataExpr) -> int:
@@ -143,42 +137,36 @@ def expr_variables(e: DataExpr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # boolean expressions
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Frozen):
     value: bool
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Frozen):
     op: str  # one of < <= = != >= >
     left: DataExpr
     right: DataExpr
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Frozen):
     body: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Frozen):
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class Imp:
+class Imp(Frozen):
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-BoolExpr = Union[BoolLit, Cmp, Not, And, Or, Imp]
+BoolExpr = BoolLit | Cmp | Not | And | Or | Imp
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
@@ -223,8 +211,7 @@ def bool_variables(phi: BoolExpr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # variable updates
 
-@dataclass(frozen=True)
-class UpdateMap:
+class UpdateMap(Frozen):
     """Partial map from variable names to data expressions; order is source order."""
 
     entries: tuple[tuple[str, DataExpr], ...] = ()
@@ -242,8 +229,7 @@ EMPTY_UPDATE = UpdateMap()
 # ---------------------------------------------------------------------------
 # action sets for encapsulation
 
-@dataclass(frozen=True)
-class ActionSet:
+class ActionSet(Frozen):
     """A set of actions to block under encapsulation.
 
     Besides explicit actions, the set may contain ``incomplete(c, k)`` patterns
@@ -272,59 +258,68 @@ class ActionSet:
 # ---------------------------------------------------------------------------
 # process terms
 
-@dataclass(frozen=True)
-class Deadlock:
+class Deadlock(Frozen):
     """0: no step and no termination."""
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Termination:
+
+class Termination(Frozen):
     """1: successful termination, no step."""
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Prefix:
+
+class Prefix(Frozen):
     action: Action
     update: UpdateMap
     cont: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Guard:
+
+class Guard(Frozen):
     condition: BoolExpr
     body: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Encap:
+
+class Encap(Frozen):
     blocked: ActionSet
     body: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Alt:
+
+class Alt(Frozen):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Seq:
+
+class Seq(Frozen):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Star:
+
+class Star(Frozen):
     body: "ProcessTerm"
 
+    _cid = None
 
-@dataclass(frozen=True)
-class Par:
+
+class Par(Frozen):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
+    _cid = None
 
-ProcessTerm = Union[Deadlock, Termination, Prefix, Guard, Encap, Alt, Seq, Star, Par]
+
+ProcessTerm = Deadlock | Termination | Prefix | Guard | Encap | Alt | Seq | Star | Par
 
 DEADLOCK = Deadlock()
 TERMINATION = Termination()
@@ -373,7 +368,10 @@ def prefix(action: Action, cont: ProcessTerm, update: UpdateMap = EMPTY_UPDATE) 
 # It is not locked, so canonicalize from one thread at a time.
 #
 # The id of a term's canonical form is cached on the term itself, in the
-# instance attribute ``_cid``, which equality, hashing and repr ignore.  A
+# attribute ``_cid``, which equality, hashing and repr ignore: a class
+# attribute ``None`` until ``object.__setattr__`` sets it on the instance.
+# It is never read through the instance ``__dict__``, which would move the
+# instance from CPython's compact attribute storage to a slower dict.  A
 # successor built by a step shares everything but its spine with its source,
 # so only the new spine nodes are normalized.  The cache dies with its term:
 # a memo in a dict keyed by the term would keep every throwaway successor of
@@ -398,13 +396,13 @@ def canonical_id(t: ProcessTerm) -> int:
     recurses.  An ``Alt`` under an ``Alt`` or a ``Seq`` under a ``Seq`` is
     no top: the top's normalization walks its whole spine, and keying every
     inner node would walk each sub-spine again, quadratic on a long spine."""
-    cid = t.__dict__.get("_cid")
+    cid = t._cid
     if cid is None:
         tops: list[ProcessTerm] = []
         stack: list[tuple[ProcessTerm, type | None]] = [(t, None)]
         while stack:
             s, above = stack.pop()
-            if "_cid" in s.__dict__:
+            if s._cid is not None:
                 continue
             kind = type(s)
             if kind is not above or kind not in (Alt, Seq):
@@ -412,7 +410,7 @@ def canonical_id(t: ProcessTerm) -> int:
             stack.extend((c, kind) for c in children(s))
         for s in reversed(tops):
             # a shared subterm is a top once per occurrence
-            if "_cid" not in s.__dict__:
+            if s._cid is None:
                 object.__setattr__(s, "_cid", _normalize(s))
         cid = t._cid
     return cid
@@ -481,7 +479,6 @@ _SUBTERMS: dict[type, tuple[str, ...]] = {
     Seq: ("left", "right"),
     Par: ("left", "right"),
 }
-R = TypeVar("R")
 
 
 def children(t: ProcessTerm) -> tuple[ProcessTerm, ...]:
@@ -502,11 +499,11 @@ def subterms(t: ProcessTerm) -> Iterator[ProcessTerm]:
         stack.extend(reversed(children(s)))
 
 
-def fold(t: ProcessTerm, visit: Callable[[ProcessTerm, list[R]], R]) -> R:
+def fold(t: ProcessTerm, visit: Callable[[ProcessTerm, list], object]) -> object:
     """Bottom-up fold: ``visit(s, results)`` gets the results for the children
     of s, left to right.  Reversed pre-order reaches every child before its
     parent, right subtree first, so those results top one result stack."""
-    results: list[R] = []
+    results: list = []
     for s in reversed(list(subterms(t))):
         results.append(visit(s, [results.pop() for _ in _SUBTERMS[type(s)]]))
     return results.pop()
@@ -578,37 +575,33 @@ def free_variables(t: ProcessTerm) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # control requirements
 
-@dataclass(frozen=True)
-class EventImplies:
+class EventImplies(Frozen):
     """``a => phi``: the event may occur only in states satisfying phi."""
 
     action: Action
     condition: BoolExpr
 
 
-@dataclass(frozen=True)
-class StateExcludesEvent:
+class StateExcludesEvent(Frozen):
     """``phi => never a``: in states satisfying phi the event must be disabled."""
 
     condition: BoolExpr
     action: Action
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Frozen):
     """``phi``: every reachable state must satisfy phi."""
 
     condition: BoolExpr
 
 
-Requirement = Union[EventImplies, StateExcludesEvent, Invariant]
+Requirement = EventImplies | StateExcludesEvent | Invariant
 
 
 # ---------------------------------------------------------------------------
 # variable declarations, valuations, environments
 
-@dataclass(frozen=True)
-class IntRange:
+class IntRange(Frozen):
     low: int
     high: int
 
@@ -625,8 +618,7 @@ class IntRange:
         return f"{self.low}..{self.high}"
 
 
-@dataclass(frozen=True)
-class EnumDomain:
+class EnumDomain(Frozen):
     """Named constants; ordinals start at 1 in declaration order."""
 
     names: tuple[str, ...]
@@ -649,11 +641,10 @@ class EnumDomain:
         return "{" + ", ".join(self.names) + "}"
 
 
-VarDomain = Union[IntRange, EnumDomain]
+VarDomain = IntRange | EnumDomain
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(Frozen):
     name: str
     domain: VarDomain
     initial: int
@@ -665,7 +656,7 @@ class VariableDecl:
             )
 
 
-class Valuation(Mapping[str, int]):
+class Valuation(Mapping):
     """Immutable total valuation over a fixed, ordered variable tuple."""
 
     __slots__ = ("_names", "_index", "_values")
@@ -720,8 +711,7 @@ class Valuation(Mapping[str, int]):
         return f"Valuation({inner})"
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Frozen):
     """Total valuation plus the set of variables the last transition updated."""
 
     alpha: Valuation

@@ -22,6 +22,7 @@ from cpd.control import (
 )
 from cpd.errors import BudgetError, ModelError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
+from cpd.records import Frozen, Record
 from cpd.relations import (
     BisimActions,
     Counterexample,
@@ -570,9 +571,9 @@ def _compare(x, y) -> int:
     if type(x) is not type(y):
         a, b = type(x).__name__, type(y).__name__
         return (a > b) - (a < b)
-    if dataclasses.is_dataclass(x):
-        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
-        y = [getattr(y, f.name) for f in dataclasses.fields(y)]
+    if isinstance(x, (Frozen, Record)):
+        x = [getattr(x, name) for name in x._fields]
+        y = [getattr(y, name) for name in y._fields]
     elif isinstance(x, frozenset):
         x, y = sorted(x, key=_ORDER), sorted(y, key=_ORDER)
     elif not isinstance(x, tuple):
@@ -1202,3 +1203,33 @@ def free_variables_oracle(t):
     if isinstance(t, (Alt, Seq, Par)):
         return free_variables_oracle(t.left) | free_variables_oracle(t.right)
     raise TypeError(f"not a process term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# records against the dataclasses they replaced
+
+# what a class gets from its record base rather than defining itself
+_RECORD_MADE = ("__dict__", "__weakref__", "__module__", "__qualname__", "__annotations__",
+                "_fields", "__match_args__")
+
+
+def dataclass_twin(cls):
+    """The ``dataclasses.dataclass`` standing for a record class: the same
+    name, field annotations and defaults, ``frozen`` for a ``Frozen`` record,
+    and every attribute the class defines itself, such as ``__post_init__``,
+    an own ``__eq__``, properties and other methods."""
+    annotations = {}
+    for klass in reversed(cls.__mro__):
+        annotations.update(vars(klass).get("__annotations__", {}))
+    fields = [
+        (name, annotations[name], dataclasses.field(default=getattr(cls, name)))
+        if hasattr(cls, name) else (name, annotations[name])
+        for name in cls._fields
+    ]
+    namespace = {
+        name: value for name, value in vars(cls).items()
+        if name not in _RECORD_MADE and name not in cls._fields
+        and getattr(value, "__module__", None) != "cpd.records"
+    }
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace,
+                                      frozen=issubclass(cls, Frozen))

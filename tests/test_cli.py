@@ -217,7 +217,7 @@ class TestDeepTerms:
                      + "1;\nplant P;\n")
         assert main(["parse", str(f)]) == 0
         text = capsys.readouterr().out
-        # compare texts: dataclass equality recurses on deep terms
+        # compare texts: record equality recurses on deep terms
         assert print_spec(parse(text, "deep.cpd")) == text
         assert main(["explore", str(f)]) == 0
         assert capsys.readouterr().out == "states 5001 transitions 5000 marked 1\n"

@@ -1,7 +1,6 @@
 """Partial bisimulation: examples, random agreement with oracles, preorder laws."""
 
 import random
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from cpd.models import load
 from cpd.parser import parse
 from cpd.relations import action_predicate, bisimilar, partial_bisim, simulated_by
 from cpd.semantics import Engine
-from cpd.statespace import explore
+from cpd.statespace import StateSpace, explore
 from cpd.synthesis import analyze, guards_from_space, integrate_supervisor
 from cpd.terms import (
     Alt,
@@ -448,6 +447,11 @@ class TestHandover:
                 before = len(calls)
                 outcomes.add((self.check(calls, left, right, b) > 0, len(calls) > before))
         assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+def replace(ss, **changes):
+    """A copy of the state space ``ss`` with the given fields changed."""
+    return StateSpace(**{name: changes.get(name, getattr(ss, name)) for name in ss._fields})
 
 
 def reached_pairs(left, right):

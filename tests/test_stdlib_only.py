@@ -2,6 +2,8 @@
 imports only ``cpd`` itself, relative modules and standard modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,14 @@ def test_runtime_imports_only_the_standard_library():
         if name != "cpd" and name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # without site, nothing but cpd decides what is imported; these modules
+    # cost start-up time that each command-line call pays
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, cpd.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
