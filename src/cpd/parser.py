@@ -168,18 +168,6 @@ class SystemSpec(Record):
             return None
         return self.processes[self.supervisor_name]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return (
-            self.declarations == other.declarations
-            and self.processes == other.processes
-            and self.plant_name == other.plant_name
-            and self.supervisor_name == other.supervisor_name
-            and self.encapsulation == other.encapsulation
-            and self.requirements == other.requirements
-        )
-
 
 class Parser:
     def __init__(self, tokens: list[Token], filename: str):

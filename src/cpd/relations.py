@@ -20,19 +20,13 @@ predicate call per distinct action, made when the action gets its index.
 A state's table is built the first time the product reaches the state, so
 a plant much larger than the supervised space it is compared with is only
 read where the product goes.  The same edge pass gives the state its
-signature, one int: a bit per action index of the state, and whether its
-targets include unmarked states, marked states, or both.
+signature, one int with a bit per action index of the state.
 
-The clean rule (Henzinger, Henzinger and Kopke, "Computing simulations on
-finite and infinite graphs", FOCS 1995) lives in ``_clean_rule`` and reads
-only the signatures of a pair's two states and the B bits.  A pair is clean
-when its first check must pass: every action of the left state has targets
-at the right, every B-action of the right state has targets at the left, and
-the targets of both are all unmarked or all marked, or the left state has
-none.  Every child of a clean pair is reached from it and none fails
-termination, so each clause finds a live partner until a child is removed.
-A pair whose actions do not nest that way fails its first check whatever is
-removed.  Any other pair passes it unless a child differs in marking.
+``_fails`` reads only the signatures of a pair's two states and the B bits.
+A pair fails its first check whatever is removed when an action of the left
+state has no targets at the right, or a B-action of the right state has
+none at the left.  Any other pair passes it unless a child differs in
+marking.
 
 The call runs in two stages.  The first, ``_settle``, ignores order.  It
 grows one partner set per left state, the right states paired with it,
@@ -53,13 +47,10 @@ whose partners cover the right targets adds nothing and is skipped with one
 ``issuperset`` call; otherwise the right targets are walked in edge order
 and only the missing pairs are added.  Pairs are thus discovered in the
 order that building and looking up every (left target, right target) pair
-would give.  The clean pairs are the ones the clean rule proves.  The
-fixpoint skips them, and a removal takes its parents out of the clean set
-before it schedules them.  When a pair is removed, its parents are found on
-demand: the discovered pairs with an edge on a common action into it.  Only
-those alive and not yet scheduled are sorted by discovery number.  The
-reverse tables this reads are built once, from the forward tables, at the
-first removal.
+would give.  When a pair is removed, its parents are found on demand: the
+discovered pairs with an edge on a common action into it.  Only those alive
+and not yet scheduled are sorted by discovery number.  The reverse tables
+this reads are built once, from the forward tables, at the first removal.
 
 The removal order is kept exactly, because the counterexample depends on
 it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
@@ -183,39 +174,22 @@ class _Actions:
         return a
 
 
-# the clean rule's verdicts on a pair
-_FAILS, _PASSES, _CLEAN = 0, 1, 2
-
-
-def _clean_rule(lsig: int, rsig: int, in_b: int) -> int:
-    """The clean rule for a pair, from its left and right state's signatures
-    (``_tables``) and the B bits: ``_CLEAN`` when the pair's first check
-    must pass, ``_PASSES`` when every action of the left state has targets at
-    the right and every B-action of the right state has targets at the left,
-    so the first check passes unless a child differs in marking, and
-    ``_FAILS`` when it fails whatever is removed.  A left state without
-    edges (mark mask 0) leaves no child to fail termination."""
-    lbits = lsig >> 2
-    rbits = rsig >> 2
-    # with the left's actions among the right's, lbits ^ rbits holds the
+def _fails(lsig: int, rsig: int, in_b: int) -> bool:
+    """Whether a pair fails its first check whatever is removed, from its
+    left and right state's signatures (``_tables``) and the B bits: an
+    action of the left state has no targets at the right, or a B-action of
+    the right state has none at the left."""
+    # with the left's actions among the right's, lsig ^ rsig holds the
     # right's actions the left lacks
-    if lbits & ~rbits or (lbits ^ rbits) & in_b:
-        return _FAILS
-    lmask = lsig & 3
-    if not lmask or (lmask | rsig) & 3 != 3:
-        return _CLEAN
-    return _PASSES
+    return bool(lsig & ~rsig or (lsig ^ rsig) & in_b)
 
 
 def _tables(ss: StateSpace, actions: _Actions):
     """The per-state tables of ``ss`` built so far, each built state's
     signature, and the function that returns a state's ``{action index:
     [targets]}`` table, building it in edge order on first use.  A state's
-    signature is one int: bit a + 2 is set for each of its action indices
-    a, and the low two bits are a mask of its targets' marks, 1 for some
-    unmarked target and 2 for some marked one."""
+    signature is one int with bit a set for each of its action indices a."""
     succ = ss.succ
-    marked = ss.marked
     index = actions.index
     built: dict[int, dict[int, list[int]]] = {}
     sig: dict[int, int] = {}
@@ -235,10 +209,9 @@ def _tables(ss: StateSpace, actions: _Actions):
                 targets = out.get(a)
                 if targets is None:
                     out[a] = [dst]
-                    bits |= 4 << a
+                    bits |= 1 << a
                 else:
                     targets.append(dst)
-                bits |= 2 if dst in marked else 1
             sig[state] = bits
         return out
 
@@ -306,7 +279,7 @@ def _settle(left: StateSpace, right: StateSpace, lside, rside,
         ltable = ltable_of(i)
         ls = lsig[i]
         for rs in set(map(rsig.__getitem__, batch)):
-            if _clean_rule(ls, rs, actions.in_b) == _FAILS:
+            if _fails(ls, rs, actions.in_b):
                 return None
         # no pair fails, so every right state of the batch has i's actions
         for a, ltargets in ltable.items():
@@ -335,19 +308,16 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     """The ordered stage: the product BFS numbers the pairs in discovery
     order, and the fixpoint's removal order, and so the counterexample,
     follows it (module docstring)."""
-    lbuilt, lsig, ltable_of = lside
-    rbuilt, rsig, rtable_of = rside
+    lbuilt, _, ltable_of = lside
+    rbuilt, _, rtable_of = rside
 
     # product BFS; a pair's discovery index is its position in order, and
-    # reach[li] holds the right states already paired with left state li.
-    # proved lists the pairs the clean rule proves (module docstring)
+    # reach[li] holds the right states already paired with left state li
     root = (left.initial, right.initial)
     index: dict[tuple[int, int], int] = {root: 0}
     order = [root]
     reach: dict[int, set[int]] = {root[0]: {root[1]}}
-    proved: list[tuple[int, int]] = []
-    for pair in order:
-        i, j = pair
+    for i, j in order:
         rtable = rtable_of(j)
         for a, ltargets in ltable_of(i).items():
             rtargets = rtable.get(a)
@@ -365,8 +335,6 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
                         child = (li, rj)
                         index[child] = len(order)
                         order.append(child)
-        if _clean_rule(lsig[i], rsig[j], actions.in_b) == _CLEAN:
-            proved.append(pair)
     del reach  # the fixpoint does not read it; freeing it lowers the peak
     # every table is built, so no action gets an index from here on
     named = list(actions.ids)
@@ -389,10 +357,7 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
             remove(pair, (1, None, None))
         else:
             alive.add(pair)
-    # made once set(order) is freed, the clean set does not raise the peak;
-    # made from a dict, its table is half the size adding pairs would give
-    clean = set(dict.fromkeys(proved))
-    del proved, order  # the fixpoint reads neither
+    del order  # the fixpoint does not read it
 
     def violation(pair):
         """First violated clause at the pair, or None while it is satisfied."""
@@ -446,23 +411,20 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     # the counterexample is the chain of reasons from the root, each naming a
     # pair removed before it, so the fixpoint can stop once the root is out
     worklist = deque(alive)
-    scheduled = set(alive)  # a copy's table is sized like the clean set's
+    scheduled = set(alive)  # the pairs in the worklist
     while root in alive and worklist:
         pair = worklist.popleft()
         scheduled.discard(pair)
-        if pair not in alive or pair in clean:
+        if pair not in alive:
             continue
         why = violation(pair)
         if why is None:
             continue
         alive.discard(pair)
         remove(pair, why)
-        found = parents(pair)
-        if clean:
-            clean -= found
-        # the alive ones not yet scheduled, in discovery order, the order the
-        # BFS met them in
-        fresh = [p for p in found if p in alive and p not in scheduled]
+        # the alive parents not yet scheduled, in discovery order, the order
+        # the BFS met them in
+        fresh = [p for p in parents(pair) if p in alive and p not in scheduled]
         fresh.sort(key=index.__getitem__)
         worklist.extend(fresh)
         scheduled.update(fresh)

@@ -33,7 +33,7 @@ and ``explore`` applies them once per transition to key the target.
 
 A stored state's term is the raw term the first step into it produced, so
 printed terms and numbering do not depend on the ids.  It is built when the
-state is expanded: the path from the root to each changed component is
+state is found: the path from the root to each changed component is
 rebuilt around the residuals, and every other subtree is shared with the
 source state's term.  The written set only mediates synchronization inside
 a single step and is excluded from identity by default.  A stored state's
@@ -54,6 +54,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from .errors import BudgetError
+from .printer import term_to_str
 from .records import Record
 from .semantics import Configuration, Engine, Skeleton
 from .terms import Action, Declarations, Environment, canonical_id
@@ -129,23 +130,17 @@ def explore(
     root_key = (ids, root.env.alpha.values_tuple)
     if rho_in_identity:
         root_key += (root.env.rho,)
-    states: list[Configuration | None] = [root]
+    states: list[Configuration] = [root]
     index = {root_key: 0}
     marked: set[int] = set()
     parents: list[tuple[int, Action] | None] = [None]
     succ: list[list[tuple[Action, int]]] = []
 
-    # a found state's components and their ids, and, until it is expanded and
-    # its term built, the state it was found from, that step's changes and
-    # its environment
-    queue: deque[tuple] = deque([(0, components, ids, None, None, None)])
+    # a found state with its components and their ids
+    queue: deque[tuple] = deque([(0, components, ids)])
     while queue:
-        src, components, ids, origin, changes, env = queue.popleft()
-        if origin is None:
-            conf = root
-        else:
-            conf = Configuration(skeleton.rebuild(states[origin].term, changes), env)
-            states[src] = conf
+        src, components, ids = queue.popleft()
+        conf = states[src]
         alpha = conf.env.alpha
         terminates, steps = skeleton.derive(components, alpha)
         if terminates:
@@ -169,13 +164,14 @@ def explore(
                                       len(_trail(parents, src)))
                 dst = len(states)
                 index[key] = dst
-                states.append(None)
+                states.append(Configuration(
+                    skeleton.rebuild(conf.term, changes),
+                    Environment(alpha.with_values(values), frozenset(writes))))
                 parents.append((src, action))
                 parts = list(components)
                 for position, residual, _ in changes:
                     parts[position] = residual
-                env = Environment(alpha.with_values(values), frozenset(writes))
-                queue.append((dst, tuple(parts), target_ids, src, changes, env))
+                queue.append((dst, tuple(parts), target_ids))
             if (id(action), dst) in seen_here:
                 continue
             seen_here.add((id(action), dst))
@@ -233,8 +229,6 @@ def export(ss: StateSpace, format: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
-        from .printer import term_to_str
-
         doc = {
             "states": [
                 {

@@ -284,10 +284,12 @@ class TestMatchesStoredPredecessorOracle:
 
 
 class TestCleanPairEdges:
-    """The product search proves some pairs satisfied and the fixpoint skips
-    them until a child is removed.  These spaces sit at the edges of that
-    proof; the deep plays of ``test_deep_failing_plays`` cover the reopening
-    of proved pairs by a removal far below them."""
+    """Spaces at the edges of the first check: states with targets of both
+    marks, states without edges, and B-actions only on the right.  A pair
+    whose actions nest passes its first check until a child is removed, and
+    a removal reopens its parents; the deep plays of
+    ``test_deep_failing_plays`` cover a removal far below the pairs it
+    reopens."""
 
     def plays(self, rng, lefts, rights, **kw):
         lengths = set()
@@ -354,14 +356,17 @@ def settles(left, right, b) -> bool:
 
 def mixed_targets(ss, state) -> bool:
     """Whether the state has both marked and unmarked targets: a pair with
-    it on the left is not clean, and passes its first check only while no
-    child differs in marking."""
+    it on the left has children of both marks, and passes its first check
+    only while no child differs in marking."""
     return {dst in ss.marked for _, dst in ss.succ[state]} == {True, False}
 
 
 class TestOrderFreeStage:
     """When the fixpoint would remove no pair, the order-free stage returns
-    every reached pair without the ordered product search."""
+    every reached pair without the ordered product search.  The ``unclean``
+    count of ``test_doubled_spaces`` is of cases that reach a left state
+    with targets of both marks (``mixed_targets``), where the stage must
+    compare the marks of the pairs' children, not the actions alone."""
 
     def test_synthesized_dense_cells(self, monkeypatch):
         order_free(monkeypatch)
@@ -447,6 +452,21 @@ class TestHandover:
                 before = len(calls)
                 outcomes.add((self.check(calls, left, right, b) > 0, len(calls) > before))
         assert outcomes == {(False, False), (False, True), (True, True)}
+
+    def test_verification_calls_that_remove_pairs(self, monkeypatch):
+        # the supervised plant against the plant holds on these calls only
+        # after the fixpoint removes pairs: ppf_1_2's check under B =
+        # uncontrollable, which `cpd synth` runs on the benchmark's input,
+        # and PPF(2,[2,1])'s two holding calls
+        calls = ordered_calls(monkeypatch)
+        path = PERFBENCH_INPUTS / "ppf_1_2.cpd"
+        cases = [(supervised_and_plant(parse(path.read_text(), path.name)), ("uncontrollable",)),
+                 (supervised_and_plant(instantiate_ppf(2, [2, 1])), ("uncontrollable", "none"))]
+        for (supervised, plant), bs in cases:
+            for b in bs:
+                before = len(calls)
+                assert self.check(calls, supervised, plant, b) == 0
+                assert len(calls) == before + 1
 
 
 def replace(ss, **changes):
