@@ -4,11 +4,22 @@ and nonblocking verification.
 Requirement actions name completed communications as they appear in the
 supervised space (``SchOper!?``), so the unsupervised reference view is the
 plant under the completion renaming.
+
+``requirement_table`` is the one place that evaluates requirements over an
+explored space; ``satisfies_globally`` and ``synthesis.analyze`` both read
+it.  A formula reads a few of the variables, so it is evaluated once per
+distinct projected key, the values of those variables in declaration
+order, and not once per state.  An event requirement then tests
+enabledness only at the states its formula excludes, through one index
+from each action object of the space to the states that enable it.
+``requirement_fails`` evaluates a requirement at a single valuation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
+from itertools import compress
+from operator import itemgetter
 
 from .errors import ModelError
 from .parser import SystemSpec
@@ -30,26 +41,29 @@ from .terms import (
     ProcessTerm,
     Requirement,
     StateExcludesEvent,
-    Valuation,
+    bool_variables,
     eval_bool,
     subterms,
 )
 
 
-def requirement_fails(r: Requirement, alpha: Valuation, enabled: Callable[[Action], bool]) -> bool:
-    """Whether the requirement fails at the valuation; ``enabled(a)`` tells
-    whether action a is enabled and is asked only when the answer depends on it.
-    An event-implies form is the exclusion form with the negated formula: the
-    named event may only be enabled where the formula holds."""
-    if isinstance(r, Invariant):
+def _excludes(r: Requirement, alpha: Mapping[str, int]) -> bool:
+    """Whether an invariant fails at the valuation, or the valuation excludes
+    an event requirement's action.  An event-implies form is the exclusion
+    form with the negated formula: the named event may only be enabled where
+    the formula holds."""
+    if isinstance(r, (Invariant, EventImplies)):
         return not eval_bool(alpha, r.condition)
-    if isinstance(r, EventImplies):
-        excluded = not eval_bool(alpha, r.condition)
-    elif isinstance(r, StateExcludesEvent):
-        excluded = eval_bool(alpha, r.condition)
-    else:
-        raise TypeError(f"not a requirement: {r!r}")
-    return excluded and enabled(r.action)
+    if isinstance(r, StateExcludesEvent):
+        return eval_bool(alpha, r.condition)
+    raise TypeError(f"not a requirement: {r!r}")
+
+
+def requirement_fails(r: Requirement, alpha: Mapping[str, int],
+                      enabled: Callable[[Action], bool]) -> bool:
+    """Whether the requirement fails at the valuation; ``enabled(a)`` tells
+    whether action a is enabled and is asked only when the answer depends on it."""
+    return _excludes(r, alpha) and (isinstance(r, Invariant) or enabled(r.action))
 
 
 def satisfies(c: Configuration, r: Requirement, declarations: Declarations) -> bool:
@@ -90,18 +104,57 @@ class GlobalSatisfaction(Record):
         return "\n".join(lines)
 
 
-def satisfies_globally(ss: StateSpace, rs: list[Requirement]) -> GlobalSatisfaction:
-    """Check every requirement in every reachable state of the space."""
-    violations: list[Violation] = []
-    for state in range(len(ss.states)):
-        alpha = ss.states[state].env.alpha
-        enabled = {a for a, _ in ss.succ[state]}
-        for r in rs:
-            if requirement_fails(r, alpha, enabled.__contains__):
-                violations.append(Violation(state, r))
-    if not violations:
+def _enablers(ss: StateSpace) -> list[tuple[Action, list[int]]]:
+    """Each action object of the space with the states that enable it, a
+    state once per edge.  An explored space holds one object per distinct
+    action, and hashing an Action runs Python code, so edges are grouped by
+    object id."""
+    by_id: dict[int, tuple[Action, list[int]]] = {}
+    for state, edges in enumerate(ss.succ):
+        for action, _ in edges:
+            entry = by_id.get(id(action))
+            if entry is None:
+                entry = by_id[id(action)] = (action, [])
+            entry[1].append(state)
+    return list(by_id.values())
+
+
+def requirement_table(ss: StateSpace, rs: Sequence[Requirement]) -> list[list[int]]:
+    """The states where each requirement fails, in state order, one list per
+    requirement (module docstring)."""
+    n = len(ss.states)
+    values = [c.env.alpha.values_tuple for c in ss.states]
+    position = {name: i for i, name in enumerate(ss.states[0].env.alpha)}
+    enablers = None
+    table = []
+    for r in rs:
+        read = sorted(bool_variables(r.condition), key=position.__getitem__)
+        if read:
+            keys = list(map(itemgetter(*map(position.__getitem__, read)), values))
+        else:
+            keys = [()] * n
+        # itemgetter over one position gives the value itself, not a 1-tuple
+        excluded = {key: _excludes(r, dict(zip(read, (key,) if len(read) == 1 else key)))
+                    for key in dict.fromkeys(keys)}
+        states = compress(range(n), map(excluded.__getitem__, keys))
+        if not isinstance(r, Invariant):
+            if enablers is None:
+                enablers = _enablers(ss)
+            enabling = set().union(*(on for action, on in enablers if action == r.action))
+            states = filter(enabling.__contains__, states)
+        table.append(list(states))
+    return table
+
+
+def satisfies_globally(ss: StateSpace, rs: Sequence[Requirement]) -> GlobalSatisfaction:
+    """Check every requirement in every reachable state of the space; the
+    violations are listed by state, then in requirement order."""
+    failing = sorted((state, i) for i, states in enumerate(requirement_table(ss, rs))
+                     for state in states)
+    if not failing:
         return GlobalSatisfaction(True, [], None)
-    return GlobalSatisfaction(False, violations, ss.trace_to(violations[0].state))
+    violations = [Violation(state, rs[i]) for state, i in failing]
+    return GlobalSatisfaction(False, violations, ss.trace_to(failing[0][0]))
 
 
 def default_encapsulation(spec: SystemSpec) -> ActionSet:

@@ -28,6 +28,7 @@ from .control import (
     check_nonblocking,
     check_controllability,
     default_encapsulation,
+    requirement_table,
     satisfies_globally,
     supervised_plant,
     renamed_plant,
@@ -99,12 +100,11 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
     # bad; an excluded controllable event only forbids that channel there
     bad: set[int] = set()
     forbidden: set[tuple[int, Channel]] = set()
-    for violation in satisfies_globally(ss, spec.requirements).violations:
-        r = violation.requirement
+    for r, states in zip(spec.requirements, requirement_table(ss, spec.requirements)):
         if isinstance(r, Invariant) or not r.action.channel.controllable:
-            bad.add(violation.state)
+            bad.update(states)
         else:
-            forbidden.add((violation.state, r.action.channel))
+            forbidden.update((state, r.action.channel) for state in states)
 
     unc_pred: list[list[int]] = [[] for _ in range(n)]
     for src, edges in enumerate(ss.succ):

@@ -381,6 +381,54 @@ def random_plant_spec(rng: random.Random, max_components: int = 3) -> SystemSpec
 
 
 # ---------------------------------------------------------------------------
+# requirement forms the random plants never draw
+
+REQUIREMENT_EDGE_TEXTS = {
+    # formulas over no variable, over one and over two; an event requirement
+    # on go!?_2 while go!? is enabled, and one on stop!?, which never occurs
+    "variables": "\n".join([
+        "controllable go, idle, back, stop;",
+        "uncontrollable u;",
+        "var x : 1..3 = 1;",
+        "var y : 1..2 = 1;",
+        "process P = (go?[x := 2].back?[x := 1].1 + idle?[x := 3].1"
+        " + u![y := 2].1 + u![y := 1].1 + 1)*;",
+        "plant P;",
+        "requirement true;",
+        "requirement go!? => true;",
+        "requirement false => never go!?;",
+        "requirement not (x = 3);",
+        "requirement back!? => y = 1;",
+        "requirement go!?_2 => x = 2;",
+        "requirement y = 2 => never stop!?;",
+        "requirement go!? => x = 1 /\\ y = 1;",
+    ]) + "\n",
+    # no variables at all, so every projected key is the empty tuple
+    "no_variables": "\n".join([
+        "controllable go;",
+        "uncontrollable u;",
+        "process P = (go?.u!.1 + 1)*;",
+        "plant P;",
+        "requirement true;",
+        "requirement go!? => true;",
+        "requirement false => never go!?;",
+        "requirement go!? => false;",
+        "requirement go!?_2 => false;",
+    ]) + "\n",
+    "no_requirements": "\n".join([
+        "controllable go;",
+        "var x : 1..2 = 1;",
+        "process P = (go?[x := 2].1 + 1)*;",
+        "plant P;",
+    ]) + "\n",
+}
+
+
+def requirement_edge_spec(name: str) -> SystemSpec:
+    return parse(REQUIREMENT_EDGE_TEXTS[name], f"{name}.cpd")
+
+
+# ---------------------------------------------------------------------------
 # labelled valuations for guard minimization
 
 

@@ -17,7 +17,6 @@ from cpd.control import (
     Violation,
     check_nonblocking,
     renamed_plant,
-    requirement_fails,
     supervised_plant,
 )
 from cpd.errors import BudgetError, ModelError, SynthesisError
@@ -947,7 +946,7 @@ class SynthesisSpaceOracle:
 
 
 def analyze_oracle(spec, budget=DEFAULT_BUDGET):
-    """The forbidden-state fixpoint with its own requirement loop, a table of
+    """The forbidden-state fixpoint with the oracle's requirement loop, a table of
     controllable targets per state, and predecessor lists read off the
     flattened transitions."""
     ss = explore(renamed_plant(spec), spec.declarations, budget)
@@ -955,16 +954,11 @@ def analyze_oracle(spec, budget=DEFAULT_BUDGET):
 
     bad = set()
     forbidden = set()
-    for state in range(n):
-        alpha = ss.states[state].env.alpha
-        enabled = {a for a, _ in ss.succ[state]}
-        for r in spec.requirements:
-            if not requirement_fails(r, alpha, enabled.__contains__):
-                continue
-            if isinstance(r, Invariant) or not r.action.channel.controllable:
-                bad.add(state)
-            else:
-                forbidden.add((state, r.action.channel))
+    for state, r in requirement_failures_oracle(ss, spec.requirements):
+        if isinstance(r, Invariant) or not r.action.channel.controllable:
+            bad.add(state)
+        else:
+            forbidden.add((state, r.action.channel))
 
     unc_pred = [[] for _ in range(n)]
     for src, action, dst in ss.transitions:
@@ -1012,12 +1006,13 @@ def analyze_oracle(spec, budget=DEFAULT_BUDGET):
                                 ctrl_targets)
 
 
-def satisfies_globally_oracle(ss, rs):
-    """Requirement check with its own evaluation of each requirement form:
-    an invariant must hold; an event-implies or state-excludes requirement
-    fails where its condition excludes its action and the action is
-    enabled."""
-    violations = []
+def requirement_failures_oracle(ss, rs):
+    """Every (state, requirement) pair where the requirement fails, by state
+    and then in requirement order, with its own evaluation of each
+    requirement form at every state's full valuation: an invariant must
+    hold; an event-implies or state-excludes requirement fails where its
+    condition excludes its action and the action is enabled."""
+    failures = []
     for state in range(len(ss.states)):
         alpha = ss.states[state].env.alpha
         enabled = {a for a, _ in ss.succ[state]}
@@ -1030,7 +1025,14 @@ def satisfies_globally_oracle(ss, rs):
             else:
                 ok = (not holds) or r.action not in enabled
             if not ok:
-                violations.append(Violation(state, r))
+                failures.append((state, r))
+    return failures
+
+
+def satisfies_globally_oracle(ss, rs):
+    """Requirement check over ``requirement_failures_oracle``, with the
+    first violation's trail found by its own breadth-first search."""
+    violations = [Violation(state, r) for state, r in requirement_failures_oracle(ss, rs)]
     if not violations:
         return GlobalSatisfaction(True, [], None)
     first = min(violations, key=lambda v: v.state)

@@ -1,9 +1,11 @@
 """Requirements over spaces, encapsulation defaults, controllability, nonblocking."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from cpd import control
 from cpd.control import (
     GlobalSatisfaction,
     check_controllability,
@@ -11,21 +13,35 @@ from cpd.control import (
     default_encapsulation,
     operational_root,
     renamed_plant,
+    requirement_table,
     satisfies,
     satisfies_globally,
     supervised_plant,
 )
-from cpd.errors import ModelError
+from cpd.errors import ModelError, SynthesisError
 from cpd.models import load
 from cpd.parser import parse
 from cpd.ppf import instantiate_ppf
-from cpd.printer import actionset_to_str
+from cpd.printer import actionset_to_str, requirement_to_str
 from cpd.semantics import Engine
 from cpd.statespace import explore
-from cpd.terms import Encap, EventImplies, Par, completed
+from cpd.synthesis import analyze, guards_from_space, integrate_supervisor
+from cpd.terms import Encap, EventImplies, Par, bool_variables, completed
 
-from gen import random_small_space
-from oracles import coreachable_oracle
+from gen import (
+    REQUIREMENT_EDGE_TEXTS,
+    dense_spec,
+    random_plant_spec,
+    random_small_space,
+    requirement_edge_spec,
+)
+from oracles import (
+    coreachable_oracle,
+    requirement_failures_oracle,
+    satisfies_globally_oracle,
+)
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def small(text):
@@ -100,6 +116,109 @@ class TestSatisfiesGlobally:
         assert "shortest trace to first violation:" in out
         tighter = g.render(ss, limit=2)
         assert f"... and {len(g.violations) - 2} more violations" in tighter
+
+
+def explored_spaces(spec):
+    """The spec's renamed plant and its supervised plant, explored: the
+    declared supervisor, else the synthesized one when a supervisor exists."""
+    plant = explore(renamed_plant(spec), spec.declarations)
+    if spec.supervisor is None:
+        try:
+            sup = guards_from_space(spec, analyze(spec))
+        except SynthesisError:
+            return [plant]
+        spec = integrate_supervisor(spec, sup)
+    return [plant, explore(supervised_plant(spec), spec.declarations)]
+
+
+def assert_requirements_like_oracle(spec):
+    """On each explored space, the table lists the states the oracle finds
+    failing per requirement, and ``satisfies_globally`` equals the oracle's
+    result, rendered text included.  Returns the spaces."""
+    rs = list(spec.requirements)
+    spaces = explored_spaces(spec)
+    for ss in spaces:
+        assert requirement_table(ss, rs) == [
+            [state for state, _ in requirement_failures_oracle(ss, [r])] for r in rs]
+        new, old = satisfies_globally(ss, rs), satisfies_globally_oracle(ss, rs)
+        assert new == old
+        assert new.render(ss) == old.render(ss)
+    return spaces
+
+
+class TestRequirementTable:
+    """The one evaluator of requirements over a space against the oracle,
+    which evaluates every requirement at every state's full valuation."""
+
+    @pytest.mark.parametrize("name", ["agv", "ppf_1_1", "ppf_1_1_tampered"])
+    def test_bundled_models(self, name):
+        assert len(assert_requirements_like_oracle(load(name))) == 2
+
+    @pytest.mark.parametrize("name", ["ppf_1_2.cpd", "ppf_1_3.cpd"])
+    def test_benchmark_inputs(self, name):
+        path = PERFBENCH_INPUTS / name
+        spec = parse(path.read_text(encoding="utf-8"), str(path))
+        assert len(assert_requirements_like_oracle(spec)) == 2
+
+    def test_dense_specs(self):
+        for seed in range(3):
+            assert len(assert_requirements_like_oracle(dense_spec(random.Random(seed)))) == 2
+
+    def test_random_plants(self):
+        counts = [len(assert_requirements_like_oracle(random_plant_spec(random.Random(seed))))
+                  for seed in range(200)]
+        # the supervised space is compared wherever a supervisor exists
+        assert set(counts) == {1, 2}
+
+    @pytest.mark.parametrize("name", sorted(REQUIREMENT_EDGE_TEXTS))
+    def test_edge_cases(self, name):
+        assert len(assert_requirements_like_oracle(requirement_edge_spec(name))) == 2
+
+    def test_edge_case_verdicts(self):
+        """The edge cases are not vacuous: a formula over no variable fails
+        everywhere or nowhere, and an event requirement holds when its
+        action differs in arity from an enabled one or never occurs."""
+        spec = requirement_edge_spec("no_variables")
+        plant = explore(renamed_plant(spec), spec.declarations)
+        go = [s for s, edges in enumerate(plant.succ)
+              if any(a.format() == "go!?" for a, _ in edges)]
+        assert 0 < len(go) < len(plant.states)
+        assert requirement_table(plant, spec.requirements) == [[], [], [], go, []]
+
+        spec = requirement_edge_spec("variables")
+        plant = explore(renamed_plant(spec), spec.declarations)
+        table = dict(zip(map(requirement_to_str, spec.requirements),
+                         requirement_table(plant, spec.requirements)))
+        # go!? is enabled at some x = 1 state, which go!?_2 => x = 2 excludes
+        assert any(plant.states[s].env.alpha["x"] == 1 and
+                   any(a.format() == "go!?" for a, _ in edges)
+                   for s, edges in enumerate(plant.succ))
+        assert table["go!?_2 => x = 2"] == table["y = 2 => never stop!?"] == []
+        assert table["not x = 3"] and table["back!? => y = 1"]
+
+    def test_empty_requirement_list(self):
+        spec = load("agv")
+        for ss in explored_spaces(spec):
+            assert requirement_table(ss, []) == []
+            assert satisfies_globally(ss, []) == GlobalSatisfaction(True, [], None)
+
+    def test_one_evaluation_per_projected_key(self, monkeypatch):
+        spec = load("ppf_1_1")
+        ss = explore(renamed_plant(spec), spec.declarations)
+        rs = list(spec.requirements)
+        real = control.eval_bool
+        calls = []
+
+        def counting(alpha, phi):
+            calls.append(phi)
+            return real(alpha, phi)
+
+        monkeypatch.setattr(control, "eval_bool", counting)
+        requirement_table(ss, rs)
+        keys = sum(len({tuple(c.env.alpha[v] for v in sorted(bool_variables(r.condition)))
+                        for c in ss.states}) for r in rs)
+        assert len(calls) == keys
+        assert keys < len(ss.states) * len(rs)
 
 
 class TestDefaultEncapsulation:

@@ -44,7 +44,13 @@ from cpd.terms import (
     eval_bool,
 )
 
-from gen import dense_spec, random_on_off, random_plant_spec
+from gen import (
+    REQUIREMENT_EDGE_TEXTS,
+    dense_spec,
+    random_on_off,
+    random_plant_spec,
+    requirement_edge_spec,
+)
 from oracles import (
     _project,
     all_cube_formulas,
@@ -386,6 +392,14 @@ class TestAnalyzeMatchesOracle:
                     for seed in range(200)}
         # both the fixpoint verdicts and the error text are compared
         assert outcomes == {True, False}
+
+    def test_dense_specs(self):
+        for seed in range(3):
+            assert assert_analyzes_like_oracle(dense_spec(random.Random(seed)))
+
+    @pytest.mark.parametrize("name", sorted(REQUIREMENT_EDGE_TEXTS))
+    def test_requirement_edge_cases(self, name):
+        assert assert_analyzes_like_oracle(requirement_edge_spec(name))
 
 
 class TestErrors:
