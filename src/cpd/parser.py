@@ -176,6 +176,7 @@ class Parser:
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.furthest: tuple[int, str] | None = None
+        self.formulas: dict[int, tuple[BoolExpr | None, int, tuple[int, str] | None]] = {}
         self.channels: dict[str, Channel] = {}
         self.channel_order: list[Channel] = []
         self.variables: list[VariableDecl] = []
@@ -534,14 +535,33 @@ class Parser:
     # -- formulas -------------------------------------------------------------
 
     def parse_formula(self) -> BoolExpr:
-        left = self.parse_or()
-        # a requirement tail 'FORMULA => never ACTION' ends the formula here
-        if self.at_sym("=>") and not (
-            self.peek(1).kind == "name" and self.peek(1).text == "never"
-        ):
-            self.advance()
-            return Imp(left, self.parse_formula())
-        return left
+        """A formula from the current token, parsed once per start token:
+        guards and parenthesised terms try a formula before every term, so
+        without the memo nested parentheses are re-parsed cubically.  An
+        entry keeps the result (None for a failure), the end position and
+        the furthest failure seen inside the call, which a hit replays."""
+        start = self.pos
+        entry = self.formulas.get(start)
+        if entry is None:
+            outer, self.furthest = self.furthest, None
+            try:
+                formula = self.parse_or()
+                # a requirement tail 'FORMULA => never ACTION' ends the formula here
+                if self.at_sym("=>") and not (
+                    self.peek(1).kind == "name" and self.peek(1).text == "never"
+                ):
+                    self.advance()
+                    formula = Imp(formula, self.parse_formula())
+            except _ParseFail:
+                formula = None
+            entry = self.formulas[start] = (formula, self.pos, self.furthest)
+            self.furthest = outer
+        formula, self.pos, inner = entry
+        if inner is not None and (self.furthest is None or inner[0] >= self.furthest[0]):
+            self.furthest = inner
+        if formula is None:
+            raise _ParseFail(inner[1])
+        return formula
 
     def parse_or(self) -> BoolExpr:
         left = self.parse_and()

@@ -16,7 +16,6 @@ space; above it the guard is a sound cover that need not be the smallest.
 from __future__ import annotations
 
 import math
-from collections.abc import Container
 
 from .errors import ObserverError, SynthesisError
 from .parser import SystemSpec
@@ -54,7 +53,6 @@ from .terms import (
     Star,
     TERMINATION,
     TRUE,
-    Valuation,
     VarRef,
     alt,
     send,
@@ -69,25 +67,20 @@ class SupervisorSpec(Record):
     termination_guard: BoolExpr = TRUE
 
 
-def _disabled(ss: StateSpace, bad: Container[int], forbidden: Container[tuple[int, Channel]],
-              state: int, channel: Channel) -> bool:
-    """Whether the supervisor disables a controllable channel at a state:
-    the pair is forbidden, or some step on that channel leads into BAD."""
-    return (state, channel) in forbidden or any(
-        dst in bad for action, dst in ss.succ[state] if action.channel == channel)
-
-
 class SynthesisSpace(Record):
-    """The explored renamed plant with the fixpoint verdicts."""
+    """The explored renamed plant with the fixpoint verdicts.  ``disabled``
+    holds the (state, controllable channel) pairs the supervisor disables:
+    the forbidden pairs, and every pair with a step on the channel into BAD."""
 
     space: StateSpace
     bad: frozenset[int]
     forbidden: frozenset[tuple[int, Channel]]
+    disabled: frozenset[tuple[int, Channel]]
     iterations: int
 
     def allowed(self, state: int, channel: Channel) -> bool:
-        """Final per-state verdict for an enabled controllable channel."""
-        return not _disabled(self.space, self.bad, self.forbidden, state, channel)
+        """Final per-state verdict for a controllable channel."""
+        return (state, channel) not in self.disabled
 
 
 def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisSpace:
@@ -106,16 +99,21 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
         else:
             forbidden.update((state, r.action.channel) for state in states)
 
+    # per target: sources of its uncontrollable steps, (source, channel) of its controllable ones
     unc_pred: list[list[int]] = [[] for _ in range(n)]
+    ctrl_pred: list[list[tuple[int, Channel]]] = [[] for _ in range(n)]
     for src, edges in enumerate(ss.succ):
         for action, dst in edges:
-            if not action.channel.controllable:
+            if action.channel.controllable:
+                ctrl_pred[dst].append((src, action.channel))
+            else:
                 unc_pred[dst].append(src)
 
     iterations = 0
     while True:
         iterations += 1
         bad = backward_closure(unc_pred, bad)
+        disabled = forbidden.union(*[ctrl_pred[dst] for dst in bad])
         # coreachability inside GOOD along the induced (supervised) edges
         pred: list[list[int]] = [[] for _ in range(n)]
         for src in range(n):
@@ -124,8 +122,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             for action, dst in ss.succ[src]:
                 if dst in bad:
                     continue
-                if action.channel.controllable and _disabled(
-                        ss, bad, forbidden, src, action.channel):
+                if action.channel.controllable and (src, action.channel) in disabled:
                     continue
                 pred[dst].append(src)
         coreach = backward_closure(pred, (s for s in ss.marked if s not in bad))
@@ -139,7 +136,8 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             "no supervisor exists: the initial state cannot be kept safe "
             f"({len(bad)} of {n} states are unsafe)"
         )
-    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), iterations)
+    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), frozenset(disabled),
+                          iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +182,23 @@ def _eliminate_variables(
 
 
 def minimize_guard(
-    declarations: Declarations, on: set[Valuation], off: set[Valuation]
+    declarations: Declarations, on: set[tuple[int, ...]], off: set[tuple[int, ...]]
 ) -> BoolExpr:
-    """Sum-of-cubes formula that is true on ``on`` and false on ``off``; all
-    other valuations are free.  Variables that never separate the two sets
-    are dropped first.  When the kept variables span at most ``_CUBE_LIMIT``
-    cubes, the cover is chosen from all prime cubes and is the smallest such
-    formula: fewest cubes, then fewest literals.  Above that it is picked
-    from one grown cube per on-point and can have more cubes than needed."""
+    """Sum-of-cubes formula that is true on the values tuples in ``on`` and
+    false on those in ``off``; all other valuations are free.  Variables that
+    never separate the two sets are dropped first.  When the kept variables
+    span at most ``_CUBE_LIMIT`` cubes, the cover is chosen from all prime
+    cubes and is the smallest such formula: fewest cubes, then fewest
+    literals.  Above that it is picked from one grown cube per on-point and
+    can have more cubes than needed."""
     if not on:
         return FALSE
-    on_pts = {v.values_tuple for v in on}
-    off_pts = {v.values_tuple for v in off}
-    if on_pts & off_pts:
+    if on & off:
         raise ValueError("on and off sets overlap")
-    if not off_pts:
+    if not off:
         return TRUE
 
-    keep, on_kept, off_kept = _eliminate_variables(declarations, on_pts, off_pts)
+    keep, on_kept, off_kept = _eliminate_variables(declarations, on, off)
     if not keep:
         return TRUE
     variables = [declarations.variables[i] for i in keep]
@@ -366,26 +363,26 @@ def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
     """Read one guard per controllable channel off the fixpoint verdicts."""
     ss = syn.space
     channels = [c for c in spec.declarations.channels if c.controllable]
-    # per channel: first state of each valuation where it is enabled and
-    # allowed (on), or enabled and disabled (off)
-    on: dict[Channel, dict[Valuation, int]] = {c: {} for c in channels}
-    off: dict[Channel, dict[Valuation, int]] = {c: {} for c in channels}
+    # per channel: first state of each valuation's values where it is
+    # enabled and allowed (on), or enabled and disabled (off)
+    on: dict[Channel, dict[tuple[int, ...], int]] = {c: {} for c in channels}
+    off: dict[Channel, dict[tuple[int, ...], int]] = {c: {} for c in channels}
     for state, edges in enumerate(ss.succ):
         if state in syn.bad:
             continue
-        alpha = ss.states[state].env.alpha
+        values = ss.states[state].env.alpha.values_tuple
         for channel in {a.channel for a, _ in edges if a.channel.controllable}:
             side = on if syn.allowed(state, channel) else off
-            side[channel].setdefault(alpha, state)
+            side[channel].setdefault(values, state)
     guards: dict[Channel, BoolExpr] = {}
     for channel in channels:
         conflicts = set(on[channel]) & set(off[channel])
         if conflicts:
             # the conflict met first in BFS order, whatever the set's order
-            alpha = min(conflicts, key=lambda a: min(on[channel][a], off[channel][a]))
+            values = min(conflicts, key=lambda v: min(on[channel][v], off[channel][v]))
             raise ObserverError(
                 f"guard for '{channel.name}' is not a function of the variables: "
-                f"states {on[channel][alpha]} and {off[channel][alpha]} carry the same "
+                f"states {on[channel][values]} and {off[channel][values]} carry the same "
                 f"valuation but only one of them may enable the channel"
             )
         guards[channel] = minimize_guard(spec.declarations, set(on[channel]), set(off[channel]))

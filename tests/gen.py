@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from cpd.control import operational_root
 from cpd.errors import BudgetError
@@ -450,3 +451,42 @@ def random_on_off(rng: random.Random, valuations, density: float | None = None,
         if bucket < 2:
             (on, off)[bucket].add(v)
     return on, off
+
+
+# ---------------------------------------------------------------------------
+# token mutations of specification texts for the parser corpus
+
+_LEXEME_RE = re.compile(r"\s+|#[^\n]*|\|\||:=|\.\.|->|=>|/\\|\\/|<=|>=|!=|\w+|.")
+_MUTATION_TOKENS = ("(", ")", "->", "=>", "+", ".", "||", "*", "not", "never", "=",
+                    "/\\", "\\/", ";", "!", "?", "0", "1", "[", "]", ":=", "true")
+
+
+def mutated_spec_text(rng: random.Random, text: str, edits: int = 3) -> str:
+    """``text`` after 1 to ``edits`` random token edits: delete a token,
+    duplicate it, swap it with the next one, replace it by or put before it
+    a token of the text or of ``_MUTATION_TOKENS``, or wrap a run of tokens
+    in one to three pairs of parentheses."""
+    for _ in range(rng.randint(1, edits)):
+        pieces = _LEXEME_RE.findall(text)
+        tokens = [i for i, p in enumerate(pieces) if not (p.isspace() or p.startswith("#"))]
+        i = rng.choice(tokens)
+        pool = _MUTATION_TOKENS + tuple(pieces[k] for k in rng.sample(tokens, 3))
+        op = rng.randrange(6)
+        if op == 0:
+            pieces[i] = ""
+        elif op == 1:
+            pieces[i] += " " + pieces[i]
+        elif op == 2:
+            j = tokens[min(tokens.index(i) + 1, len(tokens) - 1)]
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif op == 3:
+            pieces[i] = rng.choice(pool)
+        elif op == 4:
+            pieces[i] = rng.choice(pool) + " " + pieces[i]
+        else:
+            j = tokens[min(tokens.index(i) + rng.randint(0, 8), len(tokens) - 1)]
+            depth = rng.randint(1, 3)
+            pieces[i] = "(" * depth + " " + pieces[i]
+            pieces[j] += " " + ")" * depth
+        text = "".join(pieces)
+    return text

@@ -272,6 +272,27 @@ class TestDeepTerms:
             "error: recursion limit reached: the specification nests too "
             "deeply\n")
 
+    def test_nested_parentheses_parse_each_formula_once(self, tmp_path):
+        # each level is tried as a formula and as a data comparison before it
+        # is read as a term; parsing a formula once per start token keeps 150
+        # levels fast, and 160 levels still fit the default recursion limit
+        # (fresh processes, so the test runner's frames do not count)
+        code = ("import time; from cpd.parser import parse\n"
+                "text = 'uncontrollable u;\\nprocess P = ' + '(' * 150 + 'u!.1' + ')' * 150"
+                " + ';\\nplant P;\\n'\n"
+                "start = time.perf_counter(); parse(text); print(time.perf_counter() - start)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 0.3
+        f = tmp_path / "deep.cpd"
+        f.write_text("uncontrollable u;\nprocess P = " + "(" * 160 + "u!.1"
+                     + ")" * 160 + ";\nplant P;\n")
+        run = run_with_hash_seed("0", "parse", str(f))
+        assert run.returncode == 0, run.stderr
+
 
 class TestCheck:
     def test_all_pass(self, agv, capsys):

@@ -63,8 +63,15 @@ from oracles import (
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
-def table(decls):
-    return {v.values_tuple: v for v in decls.all_valuations()}
+def points(valuations):
+    """The values tuples of a set of valuations, as ``minimize_guard`` takes them."""
+    return {v.values_tuple for v in valuations}
+
+
+def valuations(decls, points):
+    """The valuations of a set of values tuples, as ``minimize_guard_oracle`` takes them."""
+    initial = decls.initial_valuation()
+    return {initial.with_values(p) for p in points}
 
 
 class TestMinimizeGuard:
@@ -73,51 +80,47 @@ class TestMinimizeGuard:
             variables=(VariableDecl("x", IntRange(1, 2), 1),
                        VariableDecl("y", IntRange(1, 3), 1)),
             channels=())
-        self.v = table(self.decls)
 
     def test_degenerate_sets(self):
         one = Declarations(variables=(VariableDecl("x", IntRange(1, 3), 1),),
                            channels=())
-        vals = {v["x"]: v for v in one.all_valuations()}
-        assert minimize_guard(one, set(), {vals[2]}) == FALSE
-        assert minimize_guard(one, {vals[1]}, set()) == TRUE
+        assert minimize_guard(one, set(), {(2,)}) == FALSE
+        assert minimize_guard(one, {(1,)}, set()) == TRUE
         assert minimize_guard(one, set(), set()) == FALSE
 
     def test_dont_cares_widen_the_literal(self):
         one = Declarations(variables=(VariableDecl("x", IntRange(1, 3), 1),),
                            channels=())
-        vals = {v["x"]: v for v in one.all_valuations()}
-        g = minimize_guard(one, {vals[1]}, {vals[2]})
+        g = minimize_guard(one, {(1,)}, {(2,)})
         assert bool_to_str(g) == "x != 2"
 
     def test_irrelevant_variable_dropped(self):
-        on = {self.v[(1, k)] for k in (1, 2, 3)}
-        off = {self.v[(2, k)] for k in (1, 2, 3)}
+        on = {(1, k) for k in (1, 2, 3)}
+        off = {(2, k) for k in (1, 2, 3)}
         assert bool_to_str(minimize_guard(self.decls, on, off)) == "x = 1"
 
     def test_two_cube_cover_exploits_dont_cares(self):
-        on = {self.v[(1, 1)], self.v[(2, 2)]}
-        off = {self.v[(1, 2)], self.v[(2, 1)]}
+        on = {(1, 1), (2, 2)}
+        off = {(1, 2), (2, 1)}
         g = minimize_guard(self.decls, on, off)
         assert bool_to_str(g) == "x = 1 /\\ y != 2 \\/ x = 2 /\\ y != 1"
         for val in self.decls.all_valuations():
-            if val in on:
+            if val.values_tuple in on:
                 assert eval_bool(val, g)
-            if val in off:
+            if val.values_tuple in off:
                 assert not eval_bool(val, g)
 
     def test_enum_literals_render_constants(self):
         d = Declarations(
             variables=(VariableDecl("m", EnumDomain(("off", "on", "halt")), 1),),
             channels=())
-        w = {v["m"]: v for v in d.all_valuations()}
-        assert bool_to_str(minimize_guard(d, {w[2]}, {w[1], w[3]})) == "m = on"
-        assert bool_to_str(minimize_guard(d, {w[1], w[3]}, {w[2]})) == "m != on"
-        assert bool_to_str(minimize_guard(d, {w[1], w[2]}, {w[3]})) == "m != halt"
+        assert bool_to_str(minimize_guard(d, {(2,)}, {(1,), (3,)})) == "m = on"
+        assert bool_to_str(minimize_guard(d, {(1,), (3,)}, {(2,)})) == "m != on"
+        assert bool_to_str(minimize_guard(d, {(1,), (2,)}, {(3,)})) == "m != halt"
 
     def test_deterministic(self):
-        on = {self.v[(1, 1)], self.v[(2, 2)]}
-        off = {self.v[(1, 2)], self.v[(2, 1)]}
+        on = {(1, 1), (2, 2)}
+        off = {(1, 2), (2, 1)}
         a = bool_to_str(minimize_guard(self.decls, on, off))
         b = bool_to_str(minimize_guard(self.decls, set(on), set(off)))
         assert a == b
@@ -132,7 +135,7 @@ class TestMinimizeGuard:
         vals = list(decls.all_valuations())
         for _ in range(100):
             on, off = random_on_off(rng, vals)
-            g = minimize_guard(decls, on, off)
+            g = minimize_guard(decls, points(on), points(off))
             for v in vals:
                 if v in on:
                     assert eval_bool(v, g)
@@ -150,7 +153,7 @@ class TestMinimizeGuard:
                                 for i, n in enumerate(sizes)),
                 channels=())
             on, off = random_on_off(rng, decls.all_valuations())
-            g = minimize_guard(decls, on, off)
+            g = minimize_guard(decls, points(on), points(off))
             assert all(eval_bool(v, g) for v in on)
             assert not any(eval_bool(v, g) for v in off)
             assert formula_cost(g) == exhaustive_min_cost(decls, on, off)
@@ -171,13 +174,12 @@ class TestEliminateVariablesMatchesOracle:
                 channels=())
             relevant = [i for i in range(len(sizes)) if rng.randrange(2)]
             on, off = random_on_off(rng, decls.all_valuations(), rng.random(), relevant)
-            on_pts = {v.values_tuple for v in on}
-            off_pts = {v.values_tuple for v in off}
+            on_pts, off_pts = points(on), points(off)
             keep, on_kept, off_kept = _eliminate_variables(decls, on_pts, off_pts)
             assert keep == eliminate_variables_oracle(decls, on_pts, off_pts)
             assert (on_kept, off_kept) == (_project(on_pts, keep), _project(off_pts, keep))
             kept_sizes.add((len(keep), len(sizes)))
-            assert (bool_to_str(minimize_guard(decls, on, off))
+            assert (bool_to_str(minimize_guard(decls, on_pts, off_pts))
                     == bool_to_str(minimize_guard_oracle(decls, on, off)))
         assert any(0 < k < n for k, n in kept_sizes)
         assert any(k == n > 1 for k, n in kept_sizes)
@@ -211,7 +213,7 @@ class TestEliminateVariablesMatchesOracle:
                                 for i, n in enumerate(sizes)),
                 channels=())
             on, off = random_on_off(rng, decls.all_valuations(), rng.random())
-            assert (bool_to_str(minimize_guard(decls, on, off))
+            assert (bool_to_str(minimize_guard(decls, points(on), points(off)))
                     == bool_to_str(minimize_guard_oracle(decls, on, off)))
 
     @pytest.mark.parametrize("name", [
@@ -238,7 +240,9 @@ class TestEliminateVariablesMatchesOracle:
         assert calls
         for declarations, on, off in calls:
             assert (bool_to_str(minimize_guard(declarations, on, off))
-                    == bool_to_str(minimize_guard_oracle(declarations, on, off)))
+                    == bool_to_str(minimize_guard_oracle(
+                        declarations, valuations(declarations, on),
+                        valuations(declarations, off))))
 
     def test_above_cube_limit_grows_one_cube_per_on_point(self, monkeypatch):
         # five kept variables over 1..4 span 15^5 cubes, past the limit
@@ -254,7 +258,7 @@ class TestEliminateVariablesMatchesOracle:
         for _ in range(10):
             labelled = rng.sample(vals, 300)
             on, off = set(labelled[:8]), set(labelled[8:])
-            g = minimize_guard(decls, on, off)
+            g = minimize_guard(decls, points(on), points(off))
             assert bool_to_str(g) == bool_to_str(minimize_guard_oracle(decls, on, off))
             assert all(eval_bool(v, g) for v in on)
             assert not any(eval_bool(v, g) for v in off)
@@ -368,9 +372,13 @@ def assert_analyzes_like_oracle(spec):
     assert new.bad == old.bad
     assert new.forbidden == old.forbidden
     assert new.iterations == old.iterations
-    for state, enabled in enumerate(old.ctrl_targets):
-        for channel in enabled:
-            assert new.allowed(state, channel) == old.allowed(state, channel)
+    # every declared controllable channel at every state, bad states and
+    # channels a state does not enable included
+    channels = [c for c in spec.declarations.channels if c.controllable]
+    pairs = [(state, c) for state in range(len(old.space.states)) for c in channels]
+    for state, channel in pairs:
+        assert new.allowed(state, channel) == old.allowed(state, channel)
+    assert new.disabled == {pair for pair in pairs if not old.allowed(*pair)}
     return True
 
 
