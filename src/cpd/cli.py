@@ -45,9 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
                   "parse, explore, check, synthesize")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, budget: bool = True) -> None:
-        p.add_argument("--format", choices=["text", "json", "dot"],
-                       default="text", help="output format")
+    def common(p: argparse.ArgumentParser, budget: bool = True,
+               formats: tuple[str, ...] = ("text", "json")) -> None:
+        if formats:
+            p.add_argument("--format", choices=formats, default="text",
+                           help="output format")
         if budget:
             p.add_argument("--budget", type=int, default=None,
                            help="state budget (default: CPD_BUDGET or "
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("explore", help="enumerate the reachable state space")
-    common(p)
+    common(p, formats=("text", "json", "dot"))
     p.add_argument("file")
     p.add_argument("--unsupervised", action="store_true",
                    help="explore the renamed plant even if a supervisor is declared")
@@ -90,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ppf", help="generate a model of the paper's printer "
                        "maintenance case (PPF family)")
-    common(p, budget=False)
+    common(p, budget=False, formats=())
     p.add_argument("--counters", type=int, required=True)
     p.add_argument("--ops", required=True,
                    help="comma-separated operation counts, one per counter")

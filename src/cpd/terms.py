@@ -733,9 +733,6 @@ class Declarations:
         if len(self.channel_map) != len(channels):
             raise SpecError.single("duplicate channel declaration")
 
-    def valuation(self, values: Mapping[str, int]) -> Valuation:
-        return Valuation(self._names, self._index, tuple(values[n] for n in self._names))
-
     def initial_valuation(self) -> Valuation:
         return Valuation(self._names, self._index, tuple(v.initial for v in self.variables))
 

@@ -426,3 +426,19 @@ class TestArgumentErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["parse", "--format", "dot"],
+        ["check", "--format", "dot"],
+        ["synth", "--format", "dot"],
+        ["explore", "--format", "svg"],
+        ["ppf", "--counters", "1", "--ops", "1", "--format", "json"],
+        ["ppf", "--counters", "1", "--ops", "1", "--format", "text"],
+    ], ids=" ".join)
+    def test_a_format_the_command_does_not_write_is_refused(self, agv, capsys, command):
+        argv = command if command[0] == "ppf" else command[:1] + [agv] + command[1:]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cpd ")
+        assert "--format" in captured.err

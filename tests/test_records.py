@@ -219,10 +219,11 @@ def test_mutable_records_take_assignment(cls):
 
 
 @pytest.mark.parametrize("base", [Frozen, Record], ids=lambda base: base.__name__)
-@pytest.mark.parametrize("count", range(7))
+@pytest.mark.parametrize("count", range(13))
 def test_every_field_count(base, count):
     # cpd has no record of some counts and kinds, such as a hashable record
-    # of six fields, so each count is checked on a class made here
+    # of six fields or any record of seven, so each count is checked on a
+    # class made here
     names = tuple(f"v{i}" for i in range(count))
     built = []
     cls = type(f"R{count}", (base,), {"__annotations__": dict.fromkeys(names, "int"),
@@ -239,14 +240,18 @@ def test_every_field_count(base, count):
         assert outcome(hash, x) == outcome(hash, tx)
         for y, ty in pairs:
             assert (x == y) is (tx == ty)
+    # argument errors: a missing, an extra, an unknown and a repeated argument
+    for args, kwargs in [(first[:-1], {}), (first + (0,), {}), (first, {"nonesuch": 0}),
+                         (first, dict(zip(names[:1], first)))]:
+        assert outcome(cls, *args, **kwargs) == outcome(twin, *args, **kwargs)
 
 
 def test_malformed_record_classes_are_refused():
     for annotations, namespace in [
-        (dict.fromkeys("abcdefg", "int"), {}),  # seven fields
         ({"a": "int", "b": "int"}, {"a": 1}),  # no default after a default
         ({"post": "int"}, {}),  # a name the methods use
         ({"self": "int"}, {}),
+        ({**dict.fromkeys("abcdefgh", "int"), "f8": "int"}, {}),  # the ninth field's name
     ]:
         with pytest.raises(TypeError):
             type("Bad", (Frozen,), {"__annotations__": annotations, **namespace})
