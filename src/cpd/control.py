@@ -10,8 +10,8 @@ explored space; ``satisfies_globally`` and ``synthesis.analyze`` both read
 it.  A formula reads a few of the variables, so it is evaluated once per
 distinct projected key, the values of those variables in declaration
 order, and not once per state.  An event requirement then tests
-enabledness only at the states its formula excludes, through one index
-from each action object of the space to the states that enable it.
+enabledness only at the states its formula excludes, through one list per
+action index of the states that enable it.
 ``requirement_fails`` evaluates a requirement at a single valuation.
 """
 
@@ -104,21 +104,6 @@ class GlobalSatisfaction(Record):
         return "\n".join(lines)
 
 
-def _enablers(ss: StateSpace) -> list[tuple[Action, list[int]]]:
-    """Each action object of the space with the states that enable it, a
-    state once per edge.  An explored space holds one object per distinct
-    action, and hashing an Action runs Python code, so edges are grouped by
-    object id."""
-    by_id: dict[int, tuple[Action, list[int]]] = {}
-    for state, edges in enumerate(ss.succ):
-        for action, _ in edges:
-            entry = by_id.get(id(action))
-            if entry is None:
-                entry = by_id[id(action)] = (action, [])
-            entry[1].append(state)
-    return list(by_id.values())
-
-
 def requirement_table(ss: StateSpace, rs: Sequence[Requirement]) -> list[list[int]]:
     """The states where each requirement fails, in state order, one list per
     requirement (module docstring)."""
@@ -139,8 +124,13 @@ def requirement_table(ss: StateSpace, rs: Sequence[Requirement]) -> list[list[in
         states = compress(range(n), map(excluded.__getitem__, keys))
         if not isinstance(r, Invariant):
             if enablers is None:
-                enablers = _enablers(ss)
-            enabling = set().union(*(on for action, on in enablers if action == r.action))
+                enablers = [[] for _ in ss.actions]
+                for state, edges in enumerate(ss.succ):
+                    for a, _ in edges:
+                        enablers[a].append(state)
+            # matched by equality: hashing an Action runs Python code
+            enabling = set().union(*(on for action, on in zip(ss.actions, enablers)
+                                     if action == r.action))
             states = filter(enabling.__contains__, states)
         table.append(list(states))
     return table

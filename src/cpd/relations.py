@@ -193,19 +193,18 @@ def _tables(ss: StateSpace, actions: _Actions):
     index = actions.index
     built: dict[int, dict[int, list[int]]] = {}
     sig: dict[int, int] = {}
-    # an explored space holds one object per distinct action, and hashing an
-    # Action runs Python code, so edges look their index up by object id
-    by_id: dict[int, int] = {}
+    # the call's index of each of the space's action indices, once read
+    local: list[int | None] = [None] * len(ss.actions)
 
     def table(state: int) -> dict[int, list[int]]:
         out = built.get(state)
         if out is None:
             out = built[state] = {}
             bits = 0
-            for action, dst in succ[state]:
-                a = by_id.get(id(action))
+            for own, dst in succ[state]:
+                a = local[own]
                 if a is None:
-                    a = by_id[id(action)] = index(action)
+                    a = local[own] = index(ss.actions[own])
                 targets = out.get(a)
                 if targets is None:
                     out[a] = [dst]
@@ -318,8 +317,9 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     order = [root]
     reach: dict[int, set[int]] = {root[0]: {root[1]}}
     for i, j in order:
-        rtable = rtable_of(j)
-        for a, ltargets in ltable_of(i).items():
+        # most tables are built by now; the closures build the rest
+        rtable = rbuilt.get(j) or rtable_of(j)
+        for a, ltargets in (lbuilt.get(i) or ltable_of(i)).items():
             rtargets = rtable.get(a)
             if rtargets is None:
                 continue

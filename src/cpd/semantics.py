@@ -114,8 +114,8 @@ class Engine:
         if isinstance(t, (Par, Encap)):
             skeleton = Skeleton(t, self, alpha)
             ends, steps = skeleton.derive(skeleton.components, alpha)
-            return ends, [(action, skeleton.rebuild(t, changes), writes)
-                          for action, writes, changes in steps]
+            return ends, [(skeleton.actions[a], skeleton.rebuild(t, changes), writes)
+                          for a, writes, changes in steps]
         if isinstance(t, Prefix):
             writes: dict[str, int] = {}
             for name, expr in t.update:
@@ -169,9 +169,9 @@ class Engine:
         raise TypeError(f"not a process term: {t!r}")
 
 
-# a step of the skeleton pass: its action, the values it writes, and the
-# (position, residual, residual id) of each component it changes
-VectorStep = tuple[Action, dict[str, int], tuple[tuple[int, ProcessTerm, int], ...]]
+# a step of the skeleton pass: its action's index, the values it writes, and
+# the (position, residual, residual id) of each component it changes
+VectorStep = tuple[int, dict[str, int], tuple[tuple[int, ProcessTerm, int], ...]]
 
 
 class Skeleton:
@@ -184,9 +184,10 @@ class Skeleton:
     of synchronized actions)``, ``(Encap, body, blocked, memo of blocked
     actions)`` or ``(None,)`` at a component.
 
-    Every action a step carries is one shared object per equal action, on
-    one shared object per equal channel, so the memos, the shared channel
-    sets and ``explore``'s edge set key actions and channels by identity."""
+    A step carries its action as an index into ``actions``, the distinct
+    actions in the order the skeleton first meets them, and channels are
+    numbered likewise.  The memos, the shared channel sets and ``explore``'s
+    edges read ints; only a new table entry or synchronization hashes one."""
 
     def __init__(self, term: ProcessTerm, engine: Engine, alpha: Valuation):
         self.engine = engine
@@ -215,13 +216,13 @@ class Skeleton:
                 self.leaves.append(k)
                 self.routes.append(route)
 
-        # the channels a subtree can ever step on, as one shared object per
-        # equal channel: residuals are built from subterms of the initial
-        # components, so a Par synchronizes only on channels both sides have
-        self.channels: dict[Channel, Channel] = {}
+        # the numbers of the channels a subtree can ever step on: residuals
+        # are built from subterms of the initial components, so a Par
+        # synchronizes only on channels both sides have
+        self.channels: dict[Channel, int] = {}
         channels: list[set[int]] = [set() for _ in self.nodes]
         for position, k in enumerate(self.leaves):
-            channels[k] = {id(self.channels.setdefault(s.action.channel, s.action.channel))
+            channels[k] = {self.channels.setdefault(s.action.channel, len(self.channels))
                            for s in subterms(self.components[position])
                            if isinstance(s, Prefix)}
         for k in reversed(range(len(self.nodes))):
@@ -243,7 +244,12 @@ class Skeleton:
             at = sorted(order[name] for name in read_variables(component) if name in order)
             self.reads.append(itemgetter(*at) if at else _no_values)
         self.tables: list[dict[tuple, tuple]] = [{} for _ in self.components]
-        self.actions: dict[Action, Action] = {}
+        # the distinct actions met, their indices, and each index's channel
+        # number and sort key
+        self.actions: list[Action] = []
+        self.index: dict[Action, int] = {}
+        self.channel_of: list[int] = []
+        self.keys: list[tuple] = []
 
     def derive(self, components: tuple[ProcessTerm, ...],
                alpha: Valuation) -> tuple[bool, list[VectorStep]]:
@@ -276,52 +282,54 @@ class Skeleton:
                 ends[k] = ends[body]
                 out = []
                 for step in steps[body]:
-                    hit = memo.get(id(step[0]))
+                    hit = memo.get(step[0])
                     if hit is None:
-                        hit = memo[id(step[0])] = step[0] in blocked
+                        hit = memo[step[0]] = self.actions[step[0]] in blocked
                     if not hit:
                         out.append(step)
                 steps[k] = out
         return ends[0], steps[0]
 
     def _synchronize(self, left: list[VectorStep], right: list[VectorStep],
-                     shared: set[int], synced: dict[tuple[int, int], Action],
+                     shared: set[int], synced: dict[tuple[int, int], int],
                      out: list[VectorStep]) -> None:
         """Append the synchronizations of left and right steps on a shared
         channel, in (left, right) order, where the parties agree on the
         values of the names both write."""
+        channel_of = self.channel_of
         partners: dict[int, list[VectorStep]] = {}
         for step in right:
-            channel = id(step[0].channel)
+            channel = channel_of[step[0]]
             if channel in shared:
                 partners.setdefault(channel, []).append(step)
         if not partners:
             return
         for la, lw, lc in left:
-            for ra, rw, rc in partners.get(id(la.channel), ()):
+            for ra, rw, rc in partners.get(channel_of[la], ()):
                 if any(rw.get(name, value) != value for name, value in lw.items()):
                     continue
-                action = synced.get((id(la), id(ra)))
-                if action is None:
-                    action = synced[id(la), id(ra)] = self._canonical(Action(
-                        la.channel, la.senders + ra.senders, la.receivers + ra.receivers))
-                out.append((action, {**lw, **rw}, lc + rc))
+                a = synced.get((la, ra))
+                if a is None:
+                    x, y = self.actions[la], self.actions[ra]
+                    a = synced[la, ra] = self._number(Action(
+                        x.channel, x.senders + y.senders, x.receivers + y.receivers))
+                out.append((a, {**lw, **rw}, lc + rc))
 
     def _entry(self, position: int, component: ProcessTerm, alpha: Valuation) -> tuple:
         ends, steps = self.engine.derive(component, alpha)
         return component, ends, [
-            (self._canonical(action), writes, ((position, residual, canonical_id(residual)),))
+            (self._number(action), writes, ((position, residual, canonical_id(residual)),))
             for action, residual, writes in steps]
 
-    def _canonical(self, action: Action) -> Action:
-        """The shared object equal to ``action``."""
-        out = self.actions.get(action)
-        if out is None:
-            channel = self.channels[action.channel]
-            out = self.actions[action] = (
-                action if channel is action.channel
-                else Action(channel, action.senders, action.receivers))
-        return out
+    def _number(self, action: Action) -> int:
+        """The index of ``action``, numbering it if it is new."""
+        a = self.index.get(action)
+        if a is None:
+            a = self.index[action] = len(self.actions)
+            self.actions.append(action)
+            self.channel_of.append(self.channels[action.channel])
+            self.keys.append(action.sort_key())
+        return a
 
     def rebuild(self, term: ProcessTerm,
                 changes: tuple[tuple[int, ProcessTerm, int], ...]) -> ProcessTerm:

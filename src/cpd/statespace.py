@@ -24,7 +24,7 @@ the vector is the tree compression of Laarman, van de Pol & Weber,
 The skeleton keeps a step table per component position.  Its key is the
 component term object plus the values of the variables that position's
 initial term reads in guards and update expressions; its entry is whether
-the component terminates and, for each step, the action, the values
+the component terminates and, for each step, the action's index, the values
 written and the residual with its canonical id.  Residuals come from the table, so the
 same objects recur and the table hits for every state whose component and
 read values repeat.  The skeleton pass combines the entries bottom up with
@@ -41,10 +41,11 @@ a single step and is excluded from identity by default.  A stored state's
 Exploration is breadth first with transitions ordered by (channel, senders,
 receivers), so state numbering is stable across runs.
 
-``succ`` is the one stored edge relation: ``succ[s]`` lists the (action,
-target) edges out of state s in that order.  ``transitions`` and
-``predecessors()`` are derived from it on each call; ``transitions`` is the
-flattening of ``succ`` in state order.
+``succ`` is the one stored edge relation: ``succ[s]`` lists the (action
+index, target) edges out of state s in that order, an index into
+``actions``, the distinct actions in the order the skeleton numbered them;
+``parents`` names actions the same way.  ``transitions``, with ``Action``s,
+and ``predecessors()`` are derived from ``succ`` on each call, in its order.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class StateSpace(Record):
     states: list[Configuration]
     initial: int
     marked: set[int]
-    # breadth-first tree: parents[s] = (predecessor, action), None at the root
-    parents: list[tuple[int, Action] | None]
-    succ: list[list[tuple[Action, int]]]
+    # breadth-first tree: parents[s] = (predecessor, action index), None at the root
+    parents: list[tuple[int, int] | None]
+    succ: list[list[tuple[int, int]]]
+    actions: list[Action]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -78,8 +80,8 @@ class StateSpace(Record):
     def transitions(self) -> list[tuple[int, Action, int]]:
         """Every edge as (source, action, target): ``succ`` flattened in
         state order."""
-        return [(src, action, dst)
-                for src, edges in enumerate(self.succ) for action, dst in edges]
+        return [(src, self.actions[a], dst)
+                for src, edges in enumerate(self.succ) for a, dst in edges]
 
     def valuation_text(self, state: int, sep: str = ", ") -> str:
         """The state's valuation as rendered ``name=value`` pairs."""
@@ -88,7 +90,7 @@ class StateSpace(Record):
 
     def trace_to(self, state: int) -> list[Action]:
         """Shortest action trail from the initial state, along the BFS tree."""
-        return _trail(self.parents, state)
+        return [self.actions[a] for a in _trail(self.parents, state)]
 
     def predecessors(self) -> list[list[int]]:
         """Source states of the transitions into each state."""
@@ -99,15 +101,15 @@ class StateSpace(Record):
         return pred
 
 
-def _trail(parents: list[tuple[int, Action] | None], state: int) -> list[Action]:
-    trail: list[Action] = []
+def _trail(parents: list[tuple[int, int] | None], state: int) -> list[int]:
+    trail: list[int] = []
     cur = state
     while True:
         parent = parents[cur]
         if parent is None:
             break
-        cur, action = parent[0], parent[1]
-        trail.append(action)
+        cur, a = parent
+        trail.append(a)
     trail.reverse()
     return trail
 
@@ -125,6 +127,11 @@ def explore(
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     skeleton = Skeleton(root.term, Engine(declarations), root.env.alpha)
+    keys = skeleton.keys
+
+    def order(step: tuple) -> tuple:
+        return keys[step[0]]
+
     components = tuple(skeleton.components)
     ids = tuple(map(canonical_id, components))
     root_key = (ids, root.env.alpha.values_tuple)
@@ -133,8 +140,8 @@ def explore(
     states: list[Configuration] = [root]
     index = {root_key: 0}
     marked: set[int] = set()
-    parents: list[tuple[int, Action] | None] = [None]
-    succ: list[list[tuple[Action, int]]] = []
+    parents: list[tuple[int, int] | None] = [None]
+    succ: list[list[tuple[int, int]]] = []
 
     # a found state with its components and their ids
     queue: deque[tuple] = deque([(0, components, ids)])
@@ -145,10 +152,8 @@ def explore(
         terminates, steps = skeleton.derive(components, alpha)
         if terminates:
             marked.add(src)
-        outgoing: list[tuple[Action, int]] = []
-        # equal actions are one object here, so an edge is told by identity
-        seen_here: set[tuple[int, int]] = set()
-        for action, writes, changes in sorted(steps, key=_action_order):
+        outgoing: list[tuple[int, int]] = []
+        for a, writes, changes in sorted(steps, key=order):
             values = alpha.assigned(writes)
             target = list(ids)
             for position, _, rid in changes:
@@ -167,16 +172,14 @@ def explore(
                 states.append(Configuration(
                     skeleton.rebuild(conf.term, changes),
                     Environment(alpha.with_values(values), frozenset(writes))))
-                parents.append((src, action))
+                parents.append((src, a))
                 parts = list(components)
                 for position, residual, _ in changes:
                     parts[position] = residual
                 queue.append((dst, tuple(parts), target_ids))
-            if (id(action), dst) in seen_here:
-                continue
-            seen_here.add((id(action), dst))
-            outgoing.append((action, dst))
-        succ.append(outgoing)
+            outgoing.append((a, dst))
+        # a repeated (action, target) edge is kept once, where first met
+        succ.append(list(dict.fromkeys(outgoing)))
 
     return StateSpace(
         declarations=declarations,
@@ -185,11 +188,8 @@ def explore(
         marked=marked,
         parents=parents,
         succ=succ,
+        actions=skeleton.actions,
     )
-
-
-def _action_order(step: tuple) -> tuple:
-    return step[0].sort_key()
 
 
 def backward_closure(pred: list[list[int]], seeds: Iterable[int]) -> set[int]:
@@ -211,10 +211,6 @@ def coreachable(ss: StateSpace) -> set[int]:
     return backward_closure(ss.predecessors(), ss.marked)
 
 
-def _arity_label(action: Action) -> str:
-    return f"{action.channel.name}!{action.senders}?{action.receivers}"
-
-
 def export(ss: StateSpace, format: str) -> str:
     """Render the space as a graphviz digraph or as JSON."""
     if format == "dot":
@@ -224,11 +220,15 @@ def export(ss: StateSpace, format: str) -> str:
             lines.append(f'  s{i} [label="{i}\\n{ss.valuation_text(i, ",")}"{shape}];')
         lines.append("  init [shape=point];")
         lines.append(f"  init -> s{ss.initial};")
-        for src, action, dst in ss.transitions:
-            lines.append(f'  s{src} -> s{dst} [label="{_arity_label(action)}"];')
+        labels = [f"{a.channel.name}!{a.senders}?{a.receivers}" for a in ss.actions]
+        for src, edges in enumerate(ss.succ):
+            for a, dst in edges:
+                lines.append(f'  s{src} -> s{dst} [label="{labels[a]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
+        labels = [{"channel": a.channel.name, "m": a.senders, "n": a.receivers}
+                  for a in ss.actions]
         doc = {
             "states": [
                 {
@@ -242,16 +242,8 @@ def export(ss: StateSpace, format: str) -> str:
                 }
                 for i, conf in enumerate(ss.states)
             ],
-            "transitions": [
-                {
-                    "src": src,
-                    "channel": action.channel.name,
-                    "m": action.senders,
-                    "n": action.receivers,
-                    "dst": dst,
-                }
-                for src, action, dst in ss.transitions
-            ],
+            "transitions": [{"src": src, **labels[a], "dst": dst}
+                            for src, edges in enumerate(ss.succ) for a, dst in edges],
             "initial": ss.initial,
         }
         return json.dumps(doc, indent=2) + "\n"

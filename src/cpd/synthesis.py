@@ -16,6 +16,7 @@ space; above it the guard is a sound cover that need not be the smallest.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .errors import ObserverError, SynthesisError
 from .parser import SystemSpec
@@ -68,19 +69,41 @@ class SupervisorSpec(Record):
 
 
 class SynthesisSpace(Record):
-    """The explored renamed plant with the fixpoint verdicts.  ``disabled``
-    holds the (state, controllable channel) pairs the supervisor disables:
-    the forbidden pairs, and every pair with a step on the channel into BAD."""
+    """The explored renamed plant with the fixpoint verdicts, as one int per
+    state whose bit k stands for ``channels[k]``, a declared controllable
+    channel.  ``forbidden_masks`` holds the channels a requirement forbids,
+    ``disabled_masks`` those the supervisor disables: the forbidden ones and
+    every channel with a step into BAD.  ``forbidden`` and ``disabled`` are
+    the same verdicts as (state, channel) pairs."""
 
     space: StateSpace
     bad: frozenset[int]
-    forbidden: frozenset[tuple[int, Channel]]
-    disabled: frozenset[tuple[int, Channel]]
+    channels: tuple[Channel, ...]
+    forbidden_masks: list[int]
+    disabled_masks: list[int]
     iterations: int
 
     def allowed(self, state: int, channel: Channel) -> bool:
         """Final per-state verdict for a controllable channel."""
-        return (state, channel) not in self.disabled
+        return not self.disabled_masks[state] >> self.channels.index(channel) & 1
+
+    @property
+    def forbidden(self) -> frozenset[tuple[int, Channel]]:
+        return self._pairs(self.forbidden_masks)
+
+    @property
+    def disabled(self) -> frozenset[tuple[int, Channel]]:
+        return self._pairs(self.disabled_masks)
+
+    def _pairs(self, masks: list[int]) -> frozenset[tuple[int, Channel]]:
+        return frozenset((state, channel) for state, mask in enumerate(masks) if mask
+                         for k, channel in enumerate(self.channels) if mask >> k & 1)
+
+
+def _channel_bits(channels: tuple[Channel, ...], ss: StateSpace) -> list[int]:
+    """Each action index's channel bit, 0 for an uncontrollable action."""
+    return [1 << channels.index(action.channel) if action.channel.controllable else 0
+            for action in ss.actions]
 
 
 def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisSpace:
@@ -88,43 +111,50 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
     SynthesisError when the initial state ends up unsafe."""
     ss = explore(renamed_plant(spec), spec.declarations, budget)
     n = len(ss.states)
+    succ = ss.succ
+    channels = tuple(c for c in spec.declarations.channels if c.controllable)
+    bits = _channel_bits(channels, ss)
 
     # a violated invariant or excluded uncontrollable event makes the state
     # bad; an excluded controllable event only forbids that channel there
     bad: set[int] = set()
-    forbidden: set[tuple[int, Channel]] = set()
+    forbidden = [0] * n
     for r, states in zip(spec.requirements, requirement_table(ss, spec.requirements)):
         if isinstance(r, Invariant) or not r.action.channel.controllable:
             bad.update(states)
         else:
-            forbidden.update((state, r.action.channel) for state in states)
+            bit = 1 << channels.index(r.action.channel)
+            for state in states:
+                forbidden[state] |= bit
 
-    # per target: sources of its uncontrollable steps, (source, channel) of its controllable ones
+    # per target: sources of its uncontrollable steps
     unc_pred: list[list[int]] = [[] for _ in range(n)]
-    ctrl_pred: list[list[tuple[int, Channel]]] = [[] for _ in range(n)]
-    for src, edges in enumerate(ss.succ):
-        for action, dst in edges:
-            if action.channel.controllable:
-                ctrl_pred[dst].append((src, action.channel))
-            else:
+    for src, edges in enumerate(succ):
+        for a, dst in edges:
+            if not bits[a]:
                 unc_pred[dst].append(src)
 
     iterations = 0
     while True:
         iterations += 1
         bad = backward_closure(unc_pred, bad)
-        disabled = forbidden.union(*[ctrl_pred[dst] for dst in bad])
-        # coreachability inside GOOD along the induced (supervised) edges
+        # one pass derives each state's disabled channels (forbidden, or with
+        # a step into BAD) and the induced edges inside GOOD: a GOOD state's
+        # uncontrollable steps stay in GOOD, so an edge is induced iff its
+        # channel is not disabled
+        disabled = [0] * n
         pred: list[list[int]] = [[] for _ in range(n)]
-        for src in range(n):
+        for src, edges in enumerate(succ):
+            off = forbidden[src]
+            for a, dst in edges:
+                if dst in bad:
+                    off |= bits[a]
+            disabled[src] = off
             if src in bad:
                 continue
-            for action, dst in ss.succ[src]:
-                if dst in bad:
-                    continue
-                if action.channel.controllable and (src, action.channel) in disabled:
-                    continue
-                pred[dst].append(src)
+            for a, dst in edges:
+                if not bits[a] & off:
+                    pred[dst].append(src)
         coreach = backward_closure(pred, (s for s in ss.marked if s not in bad))
         pruned = [s for s in range(n) if s not in bad and s not in coreach]
         if not pruned:
@@ -136,8 +166,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
             "no supervisor exists: the initial state cannot be kept safe "
             f"({len(bad)} of {n} states are unsafe)"
         )
-    return SynthesisSpace(ss, frozenset(bad), frozenset(forbidden), frozenset(disabled),
-                          iterations)
+    return SynthesisSpace(ss, frozenset(bad), channels, forbidden, disabled, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +329,13 @@ def _render_cubes(variables, domains, cubes) -> BoolExpr:
         if len(sub) == len(domain) - 1:
             missing = next(v for v in domain if v not in sub)
             return Cmp("!=", VarRef(var.name), value_expr(missing))
-        parts = [Cmp("=", VarRef(var.name), value_expr(v)) for v in sub]
-        out = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
+        return reduce(Or, [Cmp("=", VarRef(var.name), value_expr(v)) for v in sub])
 
     def conj(cube) -> BoolExpr:
-        parts = []
-        for var, domain, sub in zip(variables, domains, cube):
-            lit = literal(var, domain, sub)
-            if lit is not None:
-                parts.append(lit)
-        if not parts:
-            return TRUE
-        out = parts[0]
-        for p in parts[1:]:
-            out = And(out, p)
-        return out
+        parts = [lit for lit in map(literal, variables, domains, cube) if lit is not None]
+        return reduce(And, parts) if parts else TRUE
 
-    if not cubes:
-        return FALSE
-    terms = [conj(c) for c in cubes]
-    out = terms[0]
-    for t in terms[1:]:
-        out = Or(out, t)
-    return out
+    return reduce(Or, map(conj, cubes)) if cubes else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +350,9 @@ class SynthesisReport(Record):
     explored_states: int
 
     def to_dict(self) -> dict:
-        return {
-            "guards": dict(self.guards),
-            "termination_guard": self.termination_guard,
-            "bad_states": self.bad_states,
-            "forbidden_pairs": self.forbidden_pairs,
-            "iterations": self.iterations,
-            "explored_states": self.explored_states,
-        }
+        out = {name: getattr(self, name) for name in self._fields}
+        out["guards"] = dict(self.guards)
+        return out
 
     def render(self) -> str:
         lines = [f"explored {self.explored_states} states; "
@@ -362,30 +367,34 @@ class SynthesisReport(Record):
 def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
     """Read one guard per controllable channel off the fixpoint verdicts."""
     ss = syn.space
-    channels = [c for c in spec.declarations.channels if c.controllable]
-    # per channel: first state of each valuation's values where it is
-    # enabled and allowed (on), or enabled and disabled (off)
-    on: dict[Channel, dict[tuple[int, ...], int]] = {c: {} for c in channels}
-    off: dict[Channel, dict[tuple[int, ...], int]] = {c: {} for c in channels}
+    bits = _channel_bits(syn.channels, ss)
+    # per channel bit: first state of each valuation's values where the
+    # channel is enabled and allowed (on), or enabled and disabled (off)
+    on: list[dict[tuple[int, ...], int]] = [{} for _ in syn.channels]
+    off: list[dict[tuple[int, ...], int]] = [{} for _ in syn.channels]
     for state, edges in enumerate(ss.succ):
         if state in syn.bad:
             continue
+        enabled = 0
+        for a, _ in edges:
+            enabled |= bits[a]
         values = ss.states[state].env.alpha.values_tuple
-        for channel in {a.channel for a, _ in edges if a.channel.controllable}:
-            side = on if syn.allowed(state, channel) else off
-            side[channel].setdefault(values, state)
+        disabled = syn.disabled_masks[state]
+        for k in range(enabled.bit_length()):
+            if enabled >> k & 1:
+                (off if disabled >> k & 1 else on)[k].setdefault(values, state)
     guards: dict[Channel, BoolExpr] = {}
-    for channel in channels:
-        conflicts = set(on[channel]) & set(off[channel])
+    for channel, on_k, off_k in zip(syn.channels, on, off):
+        conflicts = on_k.keys() & off_k.keys()
         if conflicts:
             # the conflict met first in BFS order, whatever the set's order
-            values = min(conflicts, key=lambda v: min(on[channel][v], off[channel][v]))
+            values = min(conflicts, key=lambda v: min(on_k[v], off_k[v]))
             raise ObserverError(
                 f"guard for '{channel.name}' is not a function of the variables: "
-                f"states {on[channel][values]} and {off[channel][values]} carry the same "
+                f"states {on_k[values]} and {off_k[values]} carry the same "
                 f"valuation but only one of them may enable the channel"
             )
-        guards[channel] = minimize_guard(spec.declarations, set(on[channel]), set(off[channel]))
+        guards[channel] = minimize_guard(spec.declarations, set(on_k), set(off_k))
     return SupervisorSpec(guards=guards, termination_guard=TRUE)
 
 
@@ -398,7 +407,7 @@ def synthesize_from_space(
         guards={c.name: bool_to_str(g) for c, g in sup.guards.items()},
         termination_guard=bool_to_str(sup.termination_guard),
         bad_states=len(syn.bad),
-        forbidden_pairs=len(syn.forbidden),
+        forbidden_pairs=sum(mask.bit_count() for mask in syn.forbidden_masks),
         iterations=syn.iterations,
         explored_states=len(syn.space.states),
     )

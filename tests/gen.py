@@ -43,6 +43,8 @@ from cpd.terms import (
     send,
 )
 
+from oracles import numbered_space
+
 
 # ---------------------------------------------------------------------------
 # closed terms for relation checking
@@ -146,7 +148,7 @@ def random_graph_space(rng: random.Random, actions, states: int = 6,
                 edges.add((rng.choice(actions), rng.randrange(states)))
         succ.append(sorted(edges, key=lambda e: (e[0].sort_key(), e[1])))
     marked = {s for s in range(states) if rng.random() < 0.5}
-    return StateSpace(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
+    return numbered_space(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
 
 
 def doubled_pair(rng: random.Random, actions, states: int = 6):
@@ -168,9 +170,9 @@ def doubled_pair(rng: random.Random, actions, states: int = 6):
     copies = [order({(a, c) for a, t in edges
                      for c in rng.choice(((t,), (t + states,), (t, t + states)))})
               for edges in succ + succ]
-    left = StateSpace(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
-    right = StateSpace(REL_DECLS, [None] * 2 * states, 0,
-                       marked | {s + states for s in marked}, [None] * 2 * states, copies)
+    left = numbered_space(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
+    right = numbered_space(REL_DECLS, [None] * 2 * states, 0,
+                           marked | {s + states for s in marked}, [None] * 2 * states, copies)
     return left, right
 
 

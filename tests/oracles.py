@@ -151,9 +151,34 @@ def _in_b(bisim_actions):
     return lambda a: a in bisim_actions
 
 
+def action_succ(ss: StateSpace) -> list[list[tuple[Action, int]]]:
+    """``ss.succ`` with each action index replaced by its ``Action``."""
+    return [[(ss.actions[a], dst) for a, dst in edges] for edges in ss.succ]
+
+
+def action_parents(ss: StateSpace) -> list[tuple[int, Action] | None]:
+    """``ss.parents`` with each action index replaced by its ``Action``."""
+    return [None if p is None else (p[0], ss.actions[p[1]]) for p in ss.parents]
+
+
+def numbered_space(declarations, states, initial, marked, parents, succ) -> StateSpace:
+    """A ``StateSpace`` from parents and edges that carry ``Action``s: each
+    distinct action gets an index, in the order first met in ``succ`` and
+    then in ``parents``."""
+    index = {}
+
+    def number(action):
+        return index.setdefault(action, len(index))
+
+    edges = [[(number(a), dst) for a, dst in out] for out in succ]
+    tree = [None if p is None else (p[0], number(p[1])) for p in parents]
+    return StateSpace(declarations=declarations, states=states, initial=initial,
+                      marked=marked, parents=tree, succ=edges, actions=list(index))
+
+
 def _succ_by_action(ss: StateSpace) -> list[dict[Action, list[int]]]:
     out: list[dict[Action, list[int]]] = []
-    for edges in ss.succ:
+    for edges in action_succ(ss):
         table: dict[Action, list[int]] = {}
         for action, dst in edges:
             table.setdefault(action, []).append(dst)
@@ -537,6 +562,7 @@ def coreachable_oracle(ss: StateSpace) -> set[int]:
 
 def shortest_trail_oracle(ss: StateSpace, target: int):
     """Breadth-first shortest action trail from the initial state, or None."""
+    succ = action_succ(ss)
     frontier = [(ss.initial, [])]
     seen = {ss.initial}
     while frontier:
@@ -544,7 +570,7 @@ def shortest_trail_oracle(ss: StateSpace, target: int):
         for state, trail in frontier:
             if state == target:
                 return trail
-            for action, dst in ss.succ[state]:
+            for action, dst in succ[state]:
                 if dst not in seen:
                     seen.add(dst)
                     nxt.append((dst, trail + [action]))
@@ -775,14 +801,7 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
             seen_here.add(edge)
             outgoing.append(edge)
         succ.append(outgoing)
-    return StateSpace(
-        declarations=declarations,
-        states=states,
-        initial=0,
-        marked=marked,
-        parents=parents,
-        succ=succ,
-    )
+    return numbered_space(declarations, states, 0, marked, parents, succ)
 
 
 def derive_reference(declarations, t, alpha):
@@ -916,14 +935,7 @@ def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity
             seen_here.add(edge)
             outgoing.append(edge)
         succ.append(outgoing)
-    return StateSpace(
-        declarations=declarations,
-        states=states,
-        initial=0,
-        marked=marked,
-        parents=parents,
-        succ=succ,
-    )
+    return numbered_space(declarations, states, 0, marked, parents, succ)
 
 
 @dataclasses.dataclass
@@ -965,10 +977,11 @@ def analyze_oracle(spec, budget=DEFAULT_BUDGET):
         if not action.channel.controllable:
             unc_pred[dst].append(src)
 
+    succ = action_succ(ss)
     ctrl_targets = []
     for state in range(n):
         table = {}
-        for action, dst in ss.succ[state]:
+        for action, dst in succ[state]:
             if action.channel.controllable:
                 table.setdefault(action.channel, []).append(dst)
         ctrl_targets.append(table)
@@ -981,7 +994,7 @@ def analyze_oracle(spec, budget=DEFAULT_BUDGET):
         for src in range(n):
             if src in bad:
                 continue
-            for action, dst in ss.succ[src]:
+            for action, dst in succ[src]:
                 if dst in bad:
                     continue
                 channel = action.channel
@@ -1013,9 +1026,10 @@ def requirement_failures_oracle(ss, rs):
     hold; an event-implies or state-excludes requirement fails where its
     condition excludes its action and the action is enabled."""
     failures = []
+    succ = action_succ(ss)
     for state in range(len(ss.states)):
         alpha = ss.states[state].env.alpha
-        enabled = {a for a, _ in ss.succ[state]}
+        enabled = {a for a, _ in succ[state]}
         for r in rs:
             holds = eval_bool_oracle(alpha, r.condition)
             if isinstance(r, Invariant):

@@ -43,7 +43,7 @@ from cpd.terms import (
 )
 
 from gen import random_plant_spec, random_small_space, random_term
-from oracles import gfp_partial_bisim
+from oracles import gfp_partial_bisim, numbered_space
 
 
 def _report(n: int, desc: str, ok: bool):
@@ -110,7 +110,7 @@ class TestSupervisedCell:
 
     def test_criterion_02_initial_state_behavior(self):
         ss = self.space()
-        from_initial = [a.channel.name for a, _ in ss.succ[ss.initial]]
+        from_initial = [ss.actions[a].channel.name for a, _ in ss.succ[ss.initial]]
         anywhere = {a.channel.name for _, a, _ in ss.transitions}
         _report(2, "supervised cell: no Stb2Run transition leaves the initial "
                    "state though the channel fires elsewhere",
@@ -340,7 +340,8 @@ class TestSemanticsProperties:
 
 def enabled_controllable(ss, state):
     """The controllable channels with a step out of the state, in step order."""
-    return dict.fromkeys(a.channel for a, _ in ss.succ[state] if a.channel.controllable)
+    actions = [ss.actions[a] for a, _ in ss.succ[state]]
+    return dict.fromkeys(a.channel for a in actions if a.channel.controllable)
 
 
 def induced_edges(syn, extra):
@@ -348,7 +349,8 @@ def induced_edges(syn, extra):
     edges = []
     for src in range(len(base.states)):
         out = []
-        for action, dst in base.succ[src]:
+        for a, dst in base.succ[src]:
+            action = base.actions[a]
             ch = action.channel
             if ch.controllable and not (syn.allowed(src, ch)
                                         or (src, ch) in extra):
@@ -409,7 +411,7 @@ def graph_controllability_ok(base, edges, reach):
     order = sorted(reach)
     remap = {s: i for i, s in enumerate(order)}
     succ = [[(a, remap[d]) for a, d in edges[s] if d in reach] for s in order]
-    sub = StateSpace(
+    sub = numbered_space(
         declarations=base.declarations,
         states=[base.states[s] for s in order],
         initial=remap[base.initial],

@@ -181,7 +181,7 @@ class TestRequirementTable:
         spec = requirement_edge_spec("no_variables")
         plant = explore(renamed_plant(spec), spec.declarations)
         go = [s for s, edges in enumerate(plant.succ)
-              if any(a.format() == "go!?" for a, _ in edges)]
+              if any(plant.actions[a].format() == "go!?" for a, _ in edges)]
         assert 0 < len(go) < len(plant.states)
         assert requirement_table(plant, spec.requirements) == [[], [], [], go, []]
 
@@ -191,7 +191,7 @@ class TestRequirementTable:
                          requirement_table(plant, spec.requirements)))
         # go!? is enabled at some x = 1 state, which go!?_2 => x = 2 excludes
         assert any(plant.states[s].env.alpha["x"] == 1 and
-                   any(a.format() == "go!?" for a, _ in edges)
+                   any(plant.actions[a].format() == "go!?" for a, _ in edges)
                    for s, edges in enumerate(plant.succ))
         assert table["go!?_2 => x = 2"] == table["y = 2 => never stop!?"] == []
         assert table["not x = 3"] and table["back!? => y = 1"]

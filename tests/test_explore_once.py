@@ -147,7 +147,7 @@ def test_one_requirement_evaluator_for_configurations_and_spaces():
         assert satisfies_globally(ss, rs) == old
         violations = {(v.state, v.requirement) for v in old.violations}
         for state, conf in enumerate(ss.states):
-            enabled = {a for a, _ in ss.succ[state]}
+            enabled = {ss.actions[a] for a, _ in ss.succ[state]}
             for r in rs:
                 fails = (state, r) in violations
                 assert satisfies(conf, r, spec.declarations) == (not fails)

@@ -504,12 +504,12 @@ def test_predicate_called_once_per_distinct_reached_action():
     unread = set()
     for left, right in cases:
         lstates, rstates = reached_states(left, right)
-        actions = ({a for s in lstates for a, _ in left.succ[s]}
-                   | {a for s in rstates for a, _ in right.succ[s]})
+        actions = ({left.actions[a] for s in lstates for a, _ in left.succ[s]}
+                   | {right.actions[a] for s in rstates for a, _ in right.succ[s]})
         calls = []
         partial_bisim(left, right, lambda a: calls.append(a) or not a.controllable)
         assert len(calls) == len(actions) and set(calls) == actions
-        unread |= {a for ss in (left, right) for edges in ss.succ for a, _ in edges} - actions
+        unread |= {a for ss in (left, right) for _, a, _ in ss.transitions} - actions
     assert unread == {send(U)}  # only after d!, which no left state offers
 
 

@@ -63,19 +63,22 @@ class TestExplore:
             assert len(again) == len(ss)
             assert again.transitions == ss.transitions
             assert again.marked == ss.marked
+            # each distinct action is numbered once, in the same order
+            assert again.actions == ss.actions
+            assert len(set(ss.actions)) == len(ss.actions)
 
     def test_outgoing_edges_sorted_by_action(self):
         rng = random.Random(11)
         for _ in range(20):
             ss = random_small_space(rng)
             for edges in ss.succ:
-                keys = [a.sort_key() for a, _ in edges]
+                keys = [ss.actions[a].sort_key() for a, _ in edges]
                 assert keys == sorted(keys)
 
     def test_succ_agrees_with_transitions(self):
         rng = random.Random(13)
         ss = random_small_space(rng)
-        flat = [(src, a, dst) for src, edges in enumerate(ss.succ)
+        flat = [(src, ss.actions[a], dst) for src, edges in enumerate(ss.succ)
                 for a, dst in edges]
         assert flat == ss.transitions
 
@@ -113,8 +116,8 @@ class TestTraces:
             for s in range(len(ss)):
                 cur = s
                 while ss.parents[cur] is not None:
-                    src, action = ss.parents[cur]
-                    assert (src, action, cur) in edges
+                    src, a = ss.parents[cur]
+                    assert (src, ss.actions[a], cur) in edges
                     cur = src
                 assert cur == ss.initial
 

@@ -350,7 +350,8 @@ class TestAnalyze:
         sp = load("agv")
         syn = analyze(sp)
         targets = {}
-        for action, dst in syn.space.succ[0]:
+        for a, dst in syn.space.succ[0]:
+            action = syn.space.actions[a]
             if action.channel.controllable:
                 targets.setdefault(action.channel, []).append(dst)
         assert sorted(c.name for c in targets) == ["gotoA", "gotoB"]
@@ -509,8 +510,8 @@ class TestGuardsMatchStates:
             if state in syn.bad:
                 continue
             alpha = syn.space.states[state].env.alpha
-            for channel in {a.channel for a, _ in syn.space.succ[state]
-                            if a.channel.controllable}:
+            enabled = {syn.space.actions[a] for a, _ in syn.space.succ[state]}
+            for channel in {a.channel for a in enabled if a.channel.controllable}:
                 want = syn.allowed(state, channel)
                 assert eval_bool(alpha, sup.guards[channel]) == want
 
