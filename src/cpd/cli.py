@@ -10,7 +10,6 @@ chains, and data or boolean expressions.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -141,7 +140,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     root = operational_root(spec, unsupervised=args.unsupervised)
     ss = explore(root, spec.declarations, budget,
                  rho_in_identity=args.rho_in_identity)
-    counts = (f"states {len(ss.states)} transitions {sum(map(len, ss.succ))} "
+    counts = (f"states {len(ss)} transitions {sum(map(len, ss.succ))} "
               f"marked {len(ss.marked)}")
     if args.format == "text":
         _emit(counts, args.output)
@@ -273,12 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
         "ppf": cmd_ppf,
     }
-    # an explored space lives to the end of the call, so the cyclic
-    # collector's full passes over it free nothing: collect rarely, for
-    # this call only, once the argument parser's cycles are freed
-    thresholds = gc.get_threshold()
-    gc.collect(1)
-    gc.set_threshold(200_000, 30, 30)
     try:
         return handlers[args.command](args)
     except SpecError as exc:
@@ -295,8 +288,6 @@ def main(argv: list[str] | None = None) -> int:
                 if isinstance(exc, RecursionError) else "out of memory")
         print(f"error: {what}", file=sys.stderr)
         return 2
-    finally:
-        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

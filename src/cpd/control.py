@@ -107,9 +107,9 @@ class GlobalSatisfaction(Record):
 def requirement_table(ss: StateSpace, rs: Sequence[Requirement]) -> list[list[int]]:
     """The states where each requirement fails, in state order, one list per
     requirement (module docstring)."""
-    n = len(ss.states)
-    values = [c.env.alpha.values_tuple for c in ss.states]
-    position = {name: i for i, name in enumerate(ss.states[0].env.alpha)}
+    n = len(ss)
+    values = ss.values
+    position = {v.name: i for i, v in enumerate(ss.declarations.variables)}
     enablers = None
     table = []
     for r in rs:
@@ -225,7 +225,7 @@ class NonblockingResult(Record):
 def check_nonblocking(ss: StateSpace) -> NonblockingResult:
     """Every reachable state must reach some marked state."""
     alive = coreachable(ss)
-    blocking = {s for s in range(len(ss.states)) if s not in alive}
+    blocking = {s for s in range(len(ss)) if s not in alive}
     if not blocking:
         return NonblockingResult(True, set(), None)
     first = min(blocking)

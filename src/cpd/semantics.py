@@ -331,6 +331,19 @@ class Skeleton:
             self.keys.append(action.sort_key())
         return a
 
+    def fill(self, components: tuple[ProcessTerm, ...]) -> ProcessTerm:
+        """The term with these components in the skeleton, built bottom up."""
+        built: list = [None] * len(self.nodes)
+        for k, component in zip(self.leaves, components):
+            built[k] = component
+        for k in self.internal:
+            node = self.nodes[k]
+            if node[0] is Par:
+                built[k] = Par(built[node[1]], built[node[2]])
+            else:
+                built[k] = Encap(node[2], built[node[1]])
+        return built[0]
+
     def rebuild(self, term: ProcessTerm,
                 changes: tuple[tuple[int, ProcessTerm, int], ...]) -> ProcessTerm:
         """``term`` with the changed components replaced: the nodes on the

@@ -31,18 +31,24 @@ read values repeat.  The skeleton pass combines the entries bottom up with
 the ``||`` and ``encap`` rules.  A step carries the positions it changes,
 and ``explore`` applies them once per transition to key the target.
 
-A stored state's term is the raw term the first step into it produced, so
-printed terms and numbering do not depend on the ids.  It is built when the
-state is found: the path from the root to each changed component is
-rebuilt around the residuals, and every other subtree is shared with the
-source state's term.  The written set only mediates synchronization inside
-a single step and is excluded from identity by default.  A stored state's
-``env.rho`` is the written set of the transition that first reached it.
-Exploration is breadth first with transitions ordered by (channel, senders,
-receivers), so state numbering is stable across runs.
+A state is stored as its key's ids and values tuples, its component tuple
+and its written set, one list of each in discovery order, and is expanded
+by index.  Its components are the raw residuals the first step into it
+produced, sharing its source's unchanged components, so printed terms and
+numbering do not depend on the ids.  Exploration is breadth first with
+transitions ordered by (channel, senders, receivers), so state numbering
+is stable across runs.
 
-``succ`` is the one stored edge relation: ``succ[s]`` lists the (action
-index, target) edges out of state s in that order, an index into
+``StateSpace.values`` is where the stages read valuations.
+``StateSpace.states`` builds a state's ``Configuration`` when it is read:
+the skeleton filled with its components, its valuation, and as ``env.rho``
+the written set of the transition that first reached it (the root's own at
+the root), one object per distinct set.  The written set only mediates
+synchronization inside a single step and is excluded from identity by
+default.
+
+``succ`` is the one stored edge relation: ``succ[s]`` is the tuple of
+(action index, target) edges out of state s in that order, an index into
 ``actions``, the distinct actions in the order the skeleton numbered them;
 ``parents`` names actions the same way.  ``transitions``, with ``Action``s,
 and ``predecessors()`` are derived from ``succ`` on each call, in its order.
@@ -51,30 +57,56 @@ and ``predecessors()`` are derived from ``succ`` on each call, in its order.
 from __future__ import annotations
 
 import json
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import BudgetError
 from .printer import term_to_str
 from .records import Record
 from .semantics import Configuration, Engine, Skeleton
-from .terms import Action, Declarations, Environment, canonical_id
+from .terms import Action, Declarations, Environment, Valuation, canonical_id
 
 DEFAULT_BUDGET = 1_000_000
 
 
+class States(Sequence):
+    """An explored space's states as ``Configuration``s, each built when it
+    is read from the state's components, values and written set."""
+
+    __slots__ = ("skeleton", "alpha", "components", "values", "written")
+
+    def __init__(self, skeleton: Skeleton, alpha: Valuation, components: list[tuple],
+                 values: list[tuple[int, ...]], written: list[frozenset[str]]):
+        self.skeleton = skeleton
+        # the root's valuation, whose variables every state's valuation names
+        self.alpha = alpha
+        self.components = components
+        self.values = values
+        self.written = written
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, state):
+        if isinstance(state, slice):
+            return [self[s] for s in range(len(self))[state]]
+        return Configuration(self.skeleton.fill(self.components[state]), Environment(
+            self.alpha.with_values(self.values[state]), self.written[state]))
+
+
 class StateSpace(Record):
     declarations: Declarations
-    states: list[Configuration]
+    states: Sequence[Configuration]
+    # each state's values tuple, over the declared variables in order
+    values: list[tuple[int, ...]]
     initial: int
     marked: set[int]
     # breadth-first tree: parents[s] = (predecessor, action index), None at the root
     parents: list[tuple[int, int] | None]
-    succ: list[list[tuple[int, int]]]
+    succ: list[tuple[tuple[int, int], ...]]
     actions: list[Action]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.values)
 
     @property
     def transitions(self) -> list[tuple[int, Action, int]]:
@@ -85,8 +117,9 @@ class StateSpace(Record):
 
     def valuation_text(self, state: int, sep: str = ", ") -> str:
         """The state's valuation as rendered ``name=value`` pairs."""
-        alpha = self.states[state].env.alpha
-        return sep.join(f"{n}={self.declarations.render_value(n, v)}" for n, v in alpha.items())
+        render = self.declarations.render_value
+        return sep.join(f"{v.name}={render(v.name, value)}"
+                        for v, value in zip(self.declarations.variables, self.values[state]))
 
     def trace_to(self, state: int) -> list[Action]:
         """Shortest action trail from the initial state, along the BFS tree."""
@@ -94,7 +127,7 @@ class StateSpace(Record):
 
     def predecessors(self) -> list[list[int]]:
         """Source states of the transitions into each state."""
-        pred: list[list[int]] = [[] for _ in self.states]
+        pred: list[list[int]] = [[] for _ in self.values]
         for src, edges in enumerate(self.succ):
             for _, dst in edges:
                 pred[dst].append(src)
@@ -126,64 +159,68 @@ def explore(
     states are reachable; the error says how far the search got."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    skeleton = Skeleton(root.term, Engine(declarations), root.env.alpha)
+    root_alpha = root.env.alpha
+    skeleton = Skeleton(root.term, Engine(declarations), root_alpha)
     keys = skeleton.keys
 
     def order(step: tuple) -> tuple:
         return keys[step[0]]
 
-    components = tuple(skeleton.components)
-    ids = tuple(map(canonical_id, components))
-    root_key = (ids, root.env.alpha.values_tuple)
+    # per state, in discovery order: its key's ids and values, its
+    # components and the written set of the step that first reached it
+    components: list[tuple] = [tuple(skeleton.components)]
+    ids = [tuple(map(canonical_id, components[0]))]
+    values = [root_alpha.values_tuple]
+    written = [root.env.rho]
+    interned = {root.env.rho: root.env.rho}
+    root_key = (ids[0], values[0])
     if rho_in_identity:
         root_key += (root.env.rho,)
-    states: list[Configuration] = [root]
     index = {root_key: 0}
     marked: set[int] = set()
     parents: list[tuple[int, int] | None] = [None]
-    succ: list[list[tuple[int, int]]] = []
+    succ: list[tuple[tuple[int, int], ...]] = []
 
-    # a found state with its components and their ids
-    queue: deque[tuple] = deque([(0, components, ids)])
-    while queue:
-        src, components, ids = queue.popleft()
-        conf = states[src]
-        alpha = conf.env.alpha
-        terminates, steps = skeleton.derive(components, alpha)
+    # components grows as states are found, so this is breadth first
+    for src, parts in enumerate(components):
+        alpha = root_alpha.with_values(values[src])
+        terminates, steps = skeleton.derive(parts, alpha)
         if terminates:
             marked.add(src)
+        source_ids = ids[src]
         outgoing: list[tuple[int, int]] = []
         for a, writes, changes in sorted(steps, key=order):
-            values = alpha.assigned(writes)
-            target = list(ids)
+            target_values = alpha.assigned(writes)
+            target = list(source_ids)
             for position, _, rid in changes:
                 target[position] = rid
             target_ids = tuple(target)
-            key = (target_ids, values)
+            key = (target_ids, target_values)
             if rho_in_identity:
                 key += (frozenset(writes),)
             dst = index.get(key)
             if dst is None:
-                if budget is not None and len(states) >= budget:
-                    raise BudgetError(budget, len(states), len(queue),
-                                      len(_trail(parents, src)))
-                dst = len(states)
+                dst = len(values)
+                if budget is not None and dst >= budget:
+                    raise BudgetError(budget, dst, dst - src - 1, len(_trail(parents, src)))
                 index[key] = dst
-                states.append(Configuration(
-                    skeleton.rebuild(conf.term, changes),
-                    Environment(alpha.with_values(values), frozenset(writes))))
+                ids.append(target_ids)
+                values.append(target_values)
+                rho = frozenset(writes)
+                written.append(interned.setdefault(rho, rho))
                 parents.append((src, a))
-                parts = list(components)
+                successor = list(parts)
                 for position, residual, _ in changes:
-                    parts[position] = residual
-                queue.append((dst, tuple(parts), target_ids))
+                    successor[position] = residual
+                components.append(tuple(successor))
             outgoing.append((a, dst))
         # a repeated (action, target) edge is kept once, where first met
-        succ.append(list(dict.fromkeys(outgoing)))
+        succ.append(tuple(dict.fromkeys(outgoing)))
 
     return StateSpace(
         declarations=declarations,
-        states=states,
+        states=States(skeleton, root_alpha, components, values, written),
+        values=values,
         initial=0,
         marked=marked,
         parents=parents,
@@ -215,7 +252,7 @@ def export(ss: StateSpace, format: str) -> str:
     """Render the space as a graphviz digraph or as JSON."""
     if format == "dot":
         lines = ["digraph statespace {", "  rankdir=LR;", "  node [shape=circle];"]
-        for i in range(len(ss.states)):
+        for i in range(len(ss)):
             shape = ", peripheries=2" if i in ss.marked else ""
             lines.append(f'  s{i} [label="{i}\\n{ss.valuation_text(i, ",")}"{shape}];')
         lines.append("  init [shape=point];")
@@ -229,15 +266,15 @@ def export(ss: StateSpace, format: str) -> str:
     if format == "json":
         labels = [{"channel": a.channel.name, "m": a.senders, "n": a.receivers}
                   for a in ss.actions]
+        names = [v.name for v in ss.declarations.variables]
+        render = ss.declarations.render_value
         doc = {
             "states": [
                 {
                     "id": i,
                     "term": term_to_str(conf.term),
-                    "alpha": {
-                        name: ss.declarations.render_value(name, value)
-                        for name, value in conf.env.alpha.items()
-                    },
+                    "alpha": {name: render(name, value)
+                              for name, value in zip(names, ss.values[i])},
                     "marked": i in ss.marked,
                 }
                 for i, conf in enumerate(ss.states)

@@ -110,7 +110,7 @@ def analyze(spec: SystemSpec, budget: int | None = DEFAULT_BUDGET) -> SynthesisS
     """Run exploration and the forbidden-state fixpoint; raises
     SynthesisError when the initial state ends up unsafe."""
     ss = explore(renamed_plant(spec), spec.declarations, budget)
-    n = len(ss.states)
+    n = len(ss)
     succ = ss.succ
     channels = tuple(c for c in spec.declarations.channels if c.controllable)
     bits = _channel_bits(channels, ss)
@@ -264,12 +264,23 @@ def _primes(fields: list[int], off_masks: list[int]) -> list[int]:
     lies in one of the cubes kept, and the set stays an antichain: a cube
     not split lies in no other, and a split cube lies in no other split
     cube, as that would put its parent inside the other's parent, which
-    holds the point's value too.  So the set is always exactly the primes."""
+    holds the point's value too.  So the set is always exactly the primes.
+    A cube split on a field can lie only in a kept cube that lacks the
+    point's value in that field alone, so kept cubes are filed by it."""
     cubes = [sum(fields)]
     for p in off_masks:
-        kept = [c for c in cubes if c & p != p]
-        split = [c & ~(p & f) for c in cubes if c & p == p for f in fields if c & f != p & f]
-        cubes = kept + [s for s in split if not any(s & c == s for c in kept)]
+        kept, split = [], []
+        lacking: dict[int, list[int]] = {}
+        for c in cubes:
+            missing = p & ~c
+            if not missing:
+                split += [c & ~(p & f) for f in fields if c & f != p & f]
+                continue
+            kept.append(c)
+            if not missing & (missing - 1):
+                lacking.setdefault(missing, []).append(c)
+        cubes = kept + [s for s in split
+                        if not any(s & c == s for c in lacking.get(p & ~s, ()))]
     return cubes
 
 
@@ -378,7 +389,7 @@ def guards_from_space(spec: SystemSpec, syn: SynthesisSpace) -> SupervisorSpec:
         enabled = 0
         for a, _ in edges:
             enabled |= bits[a]
-        values = ss.states[state].env.alpha.values_tuple
+        values = ss.values[state]
         disabled = syn.disabled_masks[state]
         for k in range(enabled.bit_length()):
             if enabled >> k & 1:
@@ -409,7 +420,7 @@ def synthesize_from_space(
         bad_states=len(syn.bad),
         forbidden_pairs=sum(mask.bit_count() for mask in syn.forbidden_masks),
         iterations=syn.iterations,
-        explored_states=len(syn.space.states),
+        explored_states=len(syn.space),
     )
     return sup, report
 
@@ -485,5 +496,5 @@ def verify_synthesis(
         requirements=satisfies_globally(ss, list(spec.requirements)),
         controllability=check_controllability(ss, plant),
         nonblocking=check_nonblocking(ss),
-        supervised_states=len(ss.states),
+        supervised_states=len(ss),
     )

@@ -164,7 +164,8 @@ def action_parents(ss: StateSpace) -> list[tuple[int, Action] | None]:
 def numbered_space(declarations, states, initial, marked, parents, succ) -> StateSpace:
     """A ``StateSpace`` from parents and edges that carry ``Action``s: each
     distinct action gets an index, in the order first met in ``succ`` and
-    then in ``parents``."""
+    then in ``parents``.  A state given as None, in a space of edges only,
+    has values None."""
     index = {}
 
     def number(action):
@@ -172,8 +173,10 @@ def numbered_space(declarations, states, initial, marked, parents, succ) -> Stat
 
     edges = [[(number(a), dst) for a, dst in out] for out in succ]
     tree = [None if p is None else (p[0], number(p[1])) for p in parents]
-    return StateSpace(declarations=declarations, states=states, initial=initial,
-                      marked=marked, parents=tree, succ=edges, actions=list(index))
+    return StateSpace(declarations=declarations, states=states,
+                      values=[None if c is None else c.env.alpha.values_tuple for c in states],
+                      initial=initial, marked=marked, parents=tree, succ=edges,
+                      actions=list(index))
 
 
 def _succ_by_action(ss: StateSpace) -> list[dict[Action, list[int]]]:

@@ -41,7 +41,8 @@ def assert_explores_like_reference(root, declarations, rho, budget=None):
         term_to_str(c.term) for c in old.states]
     assert [c.env.alpha for c in new.states] == [c.env.alpha for c in old.states]
     assert [c.env.rho for c in new.states] == [c.env.rho for c in old.states]
-    assert new.states == old.states
+    assert list(new.states) == list(old.states)
+    assert new.values == old.values
     assert new.marked == old.marked
     assert action_parents(new) == action_parents(old)
     assert new.transitions == old.transitions
@@ -171,19 +172,19 @@ def test_budget_error_text(budget):
 
 def test_successor_shares_unchanged_subtrees_with_its_source():
     # (a.b.1 || c.1) || d.d.1 on distinct channels: each step changes one
-    # component, and the new term reuses the other subtrees' objects
+    # component, and the successor's component tuple reuses the source's
+    # other component objects
     a, b, c, d = (terms.Prefix(terms.send(terms.Channel(n, False)), terms.EMPTY_UPDATE,
                                terms.TERMINATION) for n in "abcd")
     term = terms.Par(terms.Par(terms.Prefix(a.action, a.update, b), c),
                      terms.Prefix(d.action, d.update, d))
     space = explore(Configuration(term, gen.REL_DECLS.initial_environment()), gen.REL_DECLS)
     assert len(space) == 3 * 2 * 3
+    components = space.states.components
+    assert [len(parts) for parts in components] == [3] * len(space)
     for state in range(1, len(space)):
-        new, old = space.states[state].term, space.states[space.parents[state][0]].term
-        inner_same = new.left is old.left
-        assert inner_same != (new.right is old.right)
-        if not inner_same:
-            assert (new.left.left is old.left.left) != (new.left.right is old.left.right)
+        new, old = components[state], components[space.parents[state][0]]
+        assert [n is o for n, o in zip(new, old)].count(True) == 2
 
 
 def count_keying_calls(monkeypatch, root):

@@ -123,7 +123,7 @@ def assert_same_space(new, old):
     assert [term_to_str(c.term) for c in new.states] == [
         term_to_str(c.term) for c in old.states
     ]
-    assert new.states == old.states
+    assert list(new.states) == list(old.states)
     assert new.transitions == old.transitions
     assert new.marked == old.marked
     assert action_parents(new) == action_parents(old)

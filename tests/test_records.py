@@ -16,7 +16,7 @@ from cpd.models import model_names, model_text
 from cpd.parser import parse, tokenize
 from cpd.records import Frozen, Record
 from cpd.relations import partial_bisim
-from cpd.statespace import explore
+from cpd.statespace import States, explore
 from cpd.synthesis import analyze, synthesize_from_space, verify_synthesis
 from cpd.terms import Channel, Declarations, IntRange, Valuation
 
@@ -95,8 +95,11 @@ def roots():
 
 def collect():
     """Up to ``PER_CLASS`` instances of each record class, reached from the
-    roots through fields, containers and declarations."""
+    roots through fields, containers, declarations and state views."""
     pools, seen, stack = {}, set(), list(roots())
+    # configurations a state view built on read, kept alive so that no id
+    # in seen is reused
+    built = []
     while stack:
         x = stack.pop()
         if id(x) in seen:
@@ -113,9 +116,12 @@ def collect():
             stack.extend(x.items())
         elif isinstance(x, Declarations):
             stack.extend(x.variables + x.channels)
+        elif isinstance(x, States):
+            built.append(list(x))
+            stack.extend(built[-1])
         elif not isinstance(x, (str, int, bool, type(None), Valuation)):
             raise AssertionError(f"no walk into {type(x).__name__}")
-    return pools, seen
+    return pools, (seen, built)
 
 
 CLASSES = record_classes()

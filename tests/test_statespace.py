@@ -1,16 +1,19 @@
 """Reachability graph construction, budgets, coreachability, exports."""
 
+import gc
 import json
 import random
 
 import pytest
 
+from cpd.control import renamed_plant
 from cpd.errors import BudgetError
+from cpd.models import load
 from cpd.parser import parse
 from cpd.ppf import instantiate_ppf
-from cpd.semantics import Engine
+from cpd.semantics import Configuration, Engine
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, coreachable, explore, export
-from cpd.terms import DEADLOCK, TERMINATION, Declarations
+from cpd.terms import DEADLOCK, TERMINATION, Declarations, Environment, Valuation
 
 from gen import random_small_space
 from oracles import coreachable_oracle, shortest_trail_oracle
@@ -66,6 +69,22 @@ class TestExplore:
             # each distinct action is numbered once, in the same order
             assert again.actions == ss.actions
             assert len(set(ss.actions)) == len(ss.actions)
+
+    def test_no_per_state_configuration_is_kept(self):
+        # a state's Configuration, Environment and Valuation are built when
+        # it is read, so an explored space keeps none of them alive
+        def alive():
+            gc.collect()
+            return sum(isinstance(o, (Configuration, Environment, Valuation))
+                       for o in gc.get_objects())
+
+        spec = load("ppf_1_1")
+        root = renamed_plant(spec)
+        before = alive()
+        ss = explore(root, spec.declarations)
+        assert len(ss) > 100
+        assert alive() == before
+        assert ss.states[len(ss) - 1].env.alpha.values_tuple == ss.values[-1]
 
     def test_outgoing_edges_sorted_by_action(self):
         rng = random.Random(11)

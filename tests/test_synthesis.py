@@ -187,20 +187,27 @@ class TestEliminateVariablesMatchesOracle:
     def test_primes_by_splitting_match_enumeration(self):
         rng = random.Random(151)
         shapes = set()
-        for _ in range(60):
-            sizes = [rng.randint(2, 6) for _ in range(rng.randint(3, 5))]
-            if math.prod((1 << n) - 1 for n in sizes) > 20_000:
-                continue  # keep the enumerating oracle fast
+
+        def check(sizes, density):
             domains = [list(range(1, n + 1)) for n in sizes]
-            density = rng.choice((0.05, 0.2, 0.5))
             off = [p for p in itertools.product(*domains) if rng.random() < density]
             fields = [(1 << n) - 1 << sum(sizes[:i]) for i, n in enumerate(sizes)]
             off_masks = [sum(1 << sum(sizes[:i]) + v - 1 for i, v in enumerate(p)) for p in off]
             primes = sorted(cube_values(c, domains) for c in _primes(fields, off_masks))
             assert primes == sorted(exact_primes_oracle(domains, off))
             shapes.add((len(sizes), max(sizes)))
+
+        for _ in range(60):
+            sizes = [rng.randint(2, 6) for _ in range(rng.randint(3, 5))]
+            if math.prod((1 << n) - 1 for n in sizes) > 20_000:
+                continue  # keep the enumerating oracle fast
+            check(sizes, rng.choice((0.05, 0.2, 0.5)))
+        # nine binary variables, 19,683 cubes: the primes run into the
+        # hundreds, and split cubes meet many kept ones
+        check([2] * 9, 0.3)
         assert any(k == 5 for k, _ in shapes)
         assert any(n == 6 for _, n in shapes)
+        assert (9, 2) in shapes
 
     def test_random_labels_on_four_value_domains(self):
         # a literal can name two of four values, so covers of equal cost meet
