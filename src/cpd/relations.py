@@ -422,10 +422,6 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
             continue
         alive.discard(pair)
         remove(pair, why)
-        # scheduled is a subset of alive: when they are equal, no parent
-        # can be fresh
-        if len(scheduled) == len(alive):
-            continue
         # the alive parents not yet scheduled, in discovery order, the order
         # the BFS met them in
         fresh = [p for p in parents(pair) if p in alive and p not in scheduled]

@@ -10,18 +10,17 @@ set, so the walk builds no environment.
 The ``||`` and ``encap`` rules have one implementation, ``Skeleton``.  It
 splits a term into its skeleton, the tree of ``Par`` and ``Encap`` nodes at
 the top, and its components, the maximal subterms below the skeleton that
-are neither.  Steps never change the skeleton: a step of a ``Par`` rebuilds
-the ``Par`` around its parties' residuals, and a step of an ``Encap`` keeps
-its blocked set.  ``Skeleton.derive`` steps each component with
-``Engine.derive`` and combines the steps bottom up.  A ``Par`` gives its
-left steps, then its right steps, then the synchronizations of left and
-right steps on one channel, in (left, right) order, where the parties agree
-on the values of the names both write; a synchronization merges their
-writes and adds up sender and receiver counts.  An ``Encap`` drops the
-steps its blocked set holds.  ``explore`` keeps one skeleton for the root of
-a run; ``Engine.derive`` builds one for each ``Par`` or ``Encap`` it meets
-below a prefix, ``+``, ``.``, guard or star, and rebuilds each step's
-residual around the skeleton.
+are neither.  Steps change components, never the skeleton.
+``Skeleton.derive`` steps each component with ``Engine.derive`` and
+combines the steps bottom up.  A ``Par`` gives its left steps, then its
+right steps, then the synchronizations of left and right steps on one
+channel, in (left, right) order, where the parties agree on the values of
+the names both write; a synchronization merges their writes and adds up
+sender and receiver counts.  An ``Encap`` drops the steps its blocked set
+holds.  ``explore`` keeps one skeleton for the root of a run;
+``Engine.derive`` builds one for each ``Par`` or ``Encap`` it meets below a
+prefix, ``+``, ``.``, guard or star, and ``Skeleton.fill`` builds each
+step's residual, new only on the paths above the components it changes.
 
 No spine is walked by recursion: ``Engine.derive`` loops over ``+`` spines,
 the right spine of ``.`` and, through the skeleton, ``Par`` spines.  It
@@ -114,7 +113,7 @@ class Engine:
         if isinstance(t, (Par, Encap)):
             skeleton = Skeleton(t, self, alpha)
             ends, steps = skeleton.derive(skeleton.components, alpha)
-            return ends, [(skeleton.actions[a], skeleton.rebuild(t, changes), writes)
+            return ends, [(skeleton.actions[a], skeleton.fill(changes), writes)
                           for a, writes, changes in steps]
         if isinstance(t, Prefix):
             writes: dict[str, int] = {}
@@ -182,7 +181,8 @@ class Skeleton:
     Nodes are numbered in pre-order, so a node's number is below its
     children's.  ``nodes[k]`` is ``(Par, left, right, shared channels, memo
     of synchronized actions)``, ``(Encap, body, blocked, memo of blocked
-    actions)`` or ``(None,)`` at a component.
+    actions)`` or ``(None,)`` at a component; ``terms[k]`` is its subterm
+    in the split term and ``up[k]`` its parent.
 
     A step carries its action as an index into ``actions``, the distinct
     actions in the order the skeleton first meets them, and channels are
@@ -192,29 +192,31 @@ class Skeleton:
     def __init__(self, term: ProcessTerm, engine: Engine, alpha: Valuation):
         self.engine = engine
         self.nodes: list[tuple] = [()]
-        self.components: list[ProcessTerm] = []
+        self.terms: list[ProcessTerm] = [term]
+        self.up: list[int] = [0]
         # each position's node
         self.leaves: list[int] = []
-        # each position's route from the root: the field taken at each node
-        self.routes: list[tuple[str, ...]] = []
-        stack: list[tuple[ProcessTerm, int, tuple[str, ...]]] = [(term, 0, ())]
+        stack = [0]
         while stack:
-            t, k, route = stack.pop()
+            k = stack.pop()
+            t = self.terms[k]
             first = len(self.nodes)
             if isinstance(t, Par):
                 self.nodes[k] = (Par, first, first + 1)
                 self.nodes += [(), ()]
-                stack.append((t.right, first + 1, route + ("right",)))
-                stack.append((t.left, first, route + ("left",)))
+                self.terms += [t.left, t.right]
+                self.up += [k, k]
+                stack += [first + 1, first]
             elif isinstance(t, Encap):
                 self.nodes[k] = (Encap, first, t.blocked, {})
                 self.nodes.append(())
-                stack.append((t.body, first, route + ("body",)))
+                self.terms.append(t.body)
+                self.up.append(k)
+                stack.append(first)
             else:
                 self.nodes[k] = (None,)
-                self.components.append(t)
                 self.leaves.append(k)
-                self.routes.append(route)
+        self.components = [self.terms[k] for k in self.leaves]
 
         # the numbers of the channels a subtree can ever step on: residuals
         # are built from subterms of the initial components, so a Par
@@ -248,6 +250,7 @@ class Skeleton:
         # number and sort key
         self.actions: list[Action] = []
         self.index: dict[Action, int] = {}
+        self.met: dict[int, tuple[Action, int]] = {}
         self.channel_of: list[int] = []
         self.keys: list[tuple] = []
 
@@ -322,46 +325,39 @@ class Skeleton:
             for action, residual, writes in steps]
 
     def _number(self, action: Action) -> int:
-        """The index of ``action``, numbering it if it is new."""
-        a = self.index.get(action)
-        if a is None:
-            a = self.index[action] = len(self.actions)
-            self.actions.append(action)
-            self.channel_of.append(self.channels[action.channel])
-            self.keys.append(action.sort_key())
-        return a
+        """The index of ``action``, numbering it if it is new.  Only an object
+        not in ``met`` is hashed; ``met`` holds it, so its id is not reused."""
+        met = self.met.get(id(action))
+        if met is None:
+            a = self.index.setdefault(action, len(self.actions))
+            if a == len(self.actions):
+                self.actions.append(action)
+                self.channel_of.append(self.channels[action.channel])
+                self.keys.append(action.sort_key())
+            met = self.met[id(action)] = action, a
+        return met[1]
 
-    def fill(self, components: tuple[ProcessTerm, ...]) -> ProcessTerm:
-        """The term with these components in the skeleton, built bottom up."""
-        built: list = [None] * len(self.nodes)
-        for k, component in zip(self.leaves, components):
-            built[k] = component
-        for k in self.internal:
-            node = self.nodes[k]
+    def fill(self, changes: tuple[tuple, ...]) -> ProcessTerm:
+        """The split term with each change's position, its first field, given
+        its residual, its second: the nodes on the paths from the changed
+        components to the root are new, and other subtrees are shared."""
+        built: dict[int, ProcessTerm | None] = {}
+        get, terms, nodes, up = built.get, self.terms, self.nodes, self.up
+        # mark the nodes on the paths, None until built; a child's number is
+        # above its parent's, so building in descending order builds it first
+        for change in changes:
+            k = self.leaves[change[0]]
+            built[k] = change[1]
+            while k and up[k] not in built:
+                k = up[k]
+                built[k] = None
+        for k in sorted(built, reverse=True):
+            node = nodes[k]
             if node[0] is Par:
-                built[k] = Par(built[node[1]], built[node[2]])
-            else:
+                built[k] = Par(get(node[1], terms[node[1]]), get(node[2], terms[node[2]]))
+            elif node[0] is Encap:
                 built[k] = Encap(node[2], built[node[1]])
-        return built[0]
-
-    def rebuild(self, term: ProcessTerm,
-                changes: tuple[tuple[int, ProcessTerm, int], ...]) -> ProcessTerm:
-        """``term`` with the changed components replaced: the nodes on the
-        paths from the root to them are new, every other subtree is shared."""
-        for position, residual, _ in changes:
-            above = []
-            for name in self.routes[position]:
-                above.append(term)
-                term = getattr(term, name)
-            term = residual
-            for name, t in zip(reversed(self.routes[position]), reversed(above)):
-                if name == "body":
-                    term = Encap(t.blocked, term)
-                elif name == "left":
-                    term = Par(term, t.right)
-                else:
-                    term = Par(t.left, term)
-        return term
+        return get(0, terms[0])
 
 
 def _no_values(values: tuple[int, ...]) -> tuple[()]:

@@ -41,11 +41,12 @@ is stable across runs.
 
 ``StateSpace.values`` is where the stages read valuations.
 ``StateSpace.states`` builds a state's ``Configuration`` when it is read:
-the skeleton filled with its components, its valuation, and as ``env.rho``
-the written set of the transition that first reached it (the root's own at
-the root), one object per distinct set.  The written set only mediates
-synchronization inside a single step and is excluded from identity by
-default.
+the root term with the components that moved put in by ``Skeleton.fill``,
+which shares every other subtree with the root term, its valuation, and as
+``env.rho`` the written set of the transition that first reached it (the
+root's own at the root), one object per distinct set.  The written set only
+mediates synchronization inside a single step and is excluded from identity
+by default.
 
 ``succ`` is the one stored edge relation: ``succ[s]`` is the tuple of
 (action index, target) edges out of state s in that order, an index into
@@ -89,7 +90,10 @@ class States(Sequence):
     def __getitem__(self, state):
         if isinstance(state, slice):
             return [self[s] for s in range(len(self))[state]]
-        return Configuration(self.skeleton.fill(self.components[state]), Environment(
+        moved = tuple((position, part) for position, (part, first) in
+                      enumerate(zip(self.components[state], self.skeleton.components))
+                      if part is not first)
+        return Configuration(self.skeleton.fill(moved), Environment(
             self.alpha.with_values(self.values[state]), self.written[state]))
 
 

@@ -352,11 +352,14 @@ def prefix(action: Action, cont: ProcessTerm, update: UpdateMap = EMPTY_UPDATE) 
 # Alt and Seq are flattened associatively, Alt summands are deduplicated, and
 # 1.p collapses to p.  The canonical form exists only as an integer id,
 # hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing", ML
-# Workshop 2006): one table per process maps the key of a canonical node, its
-# type, its non-term fields (action, update, condition, blocked set) and the
-# ids of its canonical children, to an id.  Two terms have equal canonical
-# forms exactly when their ids are equal, and a state key built on an id
-# hashes in constant time instead of walking the term.
+# Workshop 2006): one table per process maps the key of a canonical node, a
+# string tag for its operator, its non-term fields (action, update, condition,
+# blocked set) and the ids of its canonical children, to an id.  Two terms
+# have equal canonical forms exactly when their ids are equal, and a state key
+# built on an id hashes in constant time instead of walking the term.  The
+# keys of Par, Star, Alt, Seq, Deadlock and Termination nodes hold only
+# strings and ints, so the cyclic collector untracks them and its full
+# passes do not walk them.
 #
 # An Alt is one entry keyed by the sorted set of its summand ids, not a chain
 # of binary nodes: a summand whose own canonical form is an Alt then stays one
@@ -384,7 +387,7 @@ def _intern(key: tuple) -> int:
     return _ids.setdefault(key, len(_ids))
 
 
-_TERMINATION_ID = _intern((Termination,))
+_TERMINATION_ID = _intern(("1",))
 
 
 def canonical_id(t: ProcessTerm) -> int:
@@ -419,17 +422,17 @@ def canonical_id(t: ProcessTerm) -> int:
 def _normalize(t: ProcessTerm) -> int:
     # the spine types a step rebuilds come first
     if isinstance(t, Par):
-        return _intern((Par, canonical_id(t.left), canonical_id(t.right)))
+        return _intern(("||", canonical_id(t.left), canonical_id(t.right)))
     if isinstance(t, Encap):
-        return _intern((Encap, t.blocked, canonical_id(t.body)))
+        return _intern(("encap", t.blocked, canonical_id(t.body)))
     if isinstance(t, Prefix):
-        return _intern((Prefix, t.action, t.update, canonical_id(t.cont)))
+        return _intern((".", t.action, t.update, canonical_id(t.cont)))
     if isinstance(t, Guard):
-        return _intern((Guard, t.condition, canonical_id(t.body)))
+        return _intern(("->", t.condition, canonical_id(t.body)))
     if isinstance(t, Star):
-        return _intern((Star, canonical_id(t.body)))
+        return _intern(("*", canonical_id(t.body)))
     if isinstance(t, (Deadlock, Termination)):
-        return _intern((type(t),))
+        return _intern(("1",) if isinstance(t, Termination) else ("0",))
     if isinstance(t, Alt):
         summands: set[int] = set()
         stack = [t.right, t.left]
@@ -442,7 +445,7 @@ def _normalize(t: ProcessTerm) -> int:
                 summands.add(canonical_id(s))
         if len(summands) == 1:
             return summands.pop()
-        return _intern((Alt, *sorted(summands)))
+        return _intern(("+", *sorted(summands)))
     if isinstance(t, Seq):
         parts: list[int] = []
         stack = [t.right, t.left]
@@ -459,7 +462,7 @@ def _normalize(t: ProcessTerm) -> int:
             return _TERMINATION_ID
         out = parts[-1]
         for cid in reversed(parts[:-1]):
-            out = _intern((Seq, cid, out))
+            out = _intern((";", cid, out))
         return out
     raise TypeError(f"not a process term: {t!r}")
 

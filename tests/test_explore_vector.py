@@ -187,6 +187,32 @@ def test_successor_shares_unchanged_subtrees_with_its_source():
         assert [n is o for n, o in zip(new, old)].count(True) == 2
 
 
+def test_stored_states_share_the_root_subtrees_whose_components_did_not_move():
+    # encap {} ((a.b.1 || c.1) || d.d.1): a state's term is the root itself
+    # at the root, and elsewhere a new node exactly where a component below
+    # it moved
+    a, b, c, d = (terms.Prefix(terms.send(terms.Channel(n, False)), terms.EMPTY_UPDATE,
+                               terms.TERMINATION) for n in "abcd")
+    root = terms.Encap(terms.ActionSet(), terms.Par(
+        terms.Par(terms.Prefix(a.action, a.update, b), c),
+        terms.Prefix(d.action, d.update, d)))
+    space = explore(Configuration(root, gen.REL_DECLS.initial_environment()), gen.REL_DECLS)
+    assert len(space) == 3 * 2 * 3
+    assert space.states[0].term is root
+
+    def unmoved(old, new):
+        if isinstance(old, terms.Par):
+            same = unmoved(old.left, new.left) & unmoved(old.right, new.right)
+        elif isinstance(old, terms.Encap):
+            same = unmoved(old.body, new.body)
+        else:
+            return old is new
+        assert (old is new) == same
+        return same
+
+    assert [unmoved(root, conf.term) for conf in space.states].count(True) == 1
+
+
 def count_keying_calls(monkeypatch, root):
     """``_normalize`` and ``canonical_id`` calls made by exploring ``root``."""
     calls = {"normalize": 0, "canonical_id": 0}

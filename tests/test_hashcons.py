@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import gen
+from cpd import terms
 from cpd.control import renamed_plant, supervised_plant
 from cpd.errors import BudgetError
 from cpd.models import load
@@ -116,6 +117,15 @@ class TestCanonicalIds:
         assert repr(t) == before
         assert t == Alt(B, A)
         assert hash(t) == hash(Alt(B, A))
+
+    def test_par_keys_are_untracked_by_the_collector(self):
+        # a key holds a string tag and child ids, no class object, so the
+        # collector stops tracking it and its full passes skip the table
+        t = Par(Par(A, B), Star(Alt(A, B)))
+        cid = canonical_id(t)
+        gc.collect()
+        key, = (key for key, value in terms._ids.items() if value == cid)
+        assert not gc.is_tracked(key)
 
 
 def assert_same_space(new, old):

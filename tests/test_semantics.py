@@ -36,6 +36,7 @@ from cpd.terms import (
     completed,
     receive,
     send,
+    subterms,
 )
 from cpd.statespace import explore
 
@@ -232,6 +233,32 @@ class TestSynchronization:
         residuals = {a.format(): conf.term for a, conf in e.step(e.initial(t))}
         assert residuals["u!"] == Par(TERMINATION, pfx(receive(C)))
         assert residuals["c?"] == Par(pfx(send(U)), TERMINATION)
+
+    def test_residual_builds_only_the_paths_to_the_changed_components(self):
+        # (c!.1 || u!.1) || encap {d!} (c?.1 || d!.u!.1): the synchronization
+        # changes the first and third components, u! only the second
+        left = Par(pfx(send(C)), pfx(send(U)))
+        right = Encap(ActionSet(actions=(send(D),)),
+                      Par(pfx(receive(C)), pfx(send(D), pfx(send(U)))))
+        t = Par(left, right)
+        residuals = {a.format(): r
+                     for a, r, _ in engine().derive(t, DECLS.initial_environment().alpha)[1]}
+        old = {id(s) for s in subterms(t)}
+
+        def new_nodes(r):
+            return [id(s) for s in subterms(r) if id(s) not in old]
+
+        synced = residuals["c!?"]
+        assert synced == Par(Par(TERMINATION, pfx(send(U))),
+                             Encap(right.blocked, Par(TERMINATION, right.body.right)))
+        assert new_nodes(synced) == list(map(id, [synced, synced.left, synced.right,
+                                                  synced.right.body]))
+        assert synced.left.right is left.right
+        assert synced.right.body.right is right.body.right
+        assert synced.right.blocked is right.blocked
+        moved = residuals["u!"]
+        assert new_nodes(moved) == [id(moved), id(moved.left)]
+        assert moved.left.left is left.left and moved.right is right
 
 
 class TestCompletionRenaming:
