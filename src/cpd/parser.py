@@ -178,9 +178,7 @@ class Parser:
         self.furthest: tuple[int, str] | None = None
         self.formulas: dict[int, tuple[BoolExpr | None, int, tuple[int, str] | None]] = {}
         self.channels: dict[str, Channel] = {}
-        self.channel_order: list[Channel] = []
         self.variables: list[VariableDecl] = []
-        self.var_names: set[str] = set()
         self.constants: dict[str, int] = {}
         self.processes: dict[str, ProcessTerm] = {}
         # channels, processes, and data names (variables plus enumeration
@@ -288,9 +286,7 @@ class Parser:
             if tok.text in self.channels:
                 self.report(tok, f"channel '{tok.text}' already declared")
             else:
-                ch = Channel(tok.text, controllable)
-                self.channels[tok.text] = ch
-                self.channel_order.append(ch)
+                self.channels[tok.text] = Channel(tok.text, controllable)
             if not self.at_sym(","):
                 break
             self.advance()
@@ -318,7 +314,6 @@ class Parser:
                 domain = EnumDomain(("_invalid",))
             decl = VariableDecl(name_tok.text, domain, next(iter(domain.values())))
         self.variables.append(decl)
-        self.var_names.add(name_tok.text)
 
     def parse_domain(self) -> IntRange | EnumDomain:
         tok = self.peek()
@@ -517,7 +512,7 @@ class Parser:
         if tok.kind == "int":
             return IntLit(int(self.advance().text))
         if tok.kind == "name" and tok.text not in KEYWORDS:
-            if tok.text in self.var_names:
+            if self.data_kinds.get(tok.text) == "variable":
                 self.advance()
                 return VarRef(tok.text)
             if tok.text in self.constants:
@@ -717,7 +712,7 @@ class Parser:
         if not self.at_sym("]"):
             while True:
                 name_tok = self.identifier("variable name")
-                if name_tok.text not in self.var_names:
+                if self.data_kinds.get(name_tok.text) != "variable":
                     self._fail(f"unknown variable '{name_tok.text}'", self.pos - 1)
                 if name_tok.text in seen:
                     self.report(name_tok, f"variable '{name_tok.text}' assigned twice")
@@ -755,7 +750,7 @@ class Parser:
         if self.diagnostics:
             return None
         try:
-            decls = Declarations(tuple(self.variables), tuple(self.channel_order))
+            decls = Declarations(tuple(self.variables), tuple(self.channels.values()))
         except SpecError as err:
             self.diagnostics.extend(err.diagnostics)
             return None

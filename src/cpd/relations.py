@@ -395,18 +395,15 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     reverse: list[dict[int, dict[int, list[int]]]] = []
 
     def parents(pair) -> set[tuple[int, int]]:
-        """Discovered pairs with a common-action edge into the pair: the
-        pairs the BFS met as its parents."""
+        """The alive, unscheduled pairs with a common-action edge into the
+        pair: the parents the BFS met that the worklist must revisit.  Every
+        alive pair was discovered."""
         if not reverse:
             reverse.extend((_reverse(lbuilt), _reverse(rbuilt)))
         lin = reverse[0].get(pair[0], {})
         rin = reverse[1].get(pair[1], {})
-        found: set[tuple[int, int]] = set()
-        for a, lsrc in lin.items():
-            rsrc = rin.get(a)
-            if rsrc is not None:
-                found.update(filter(index.__contains__, product(lsrc, rsrc)))
-        return found
+        return {p for a in lin.keys() & rin.keys() for p in product(lin[a], rin[a])
+                if p in alive and p not in scheduled}
 
     # the counterexample is the chain of reasons from the root, each naming a
     # pair removed before it, so the fixpoint can stop once the root is out
@@ -424,8 +421,7 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
         remove(pair, why)
         # the alive parents not yet scheduled, in discovery order, the order
         # the BFS met them in
-        fresh = [p for p in parents(pair) if p in alive and p not in scheduled]
-        fresh.sort(key=index.__getitem__)
+        fresh = sorted(parents(pair), key=index.__getitem__)
         worklist.extend(fresh)
         scheduled.update(fresh)
 

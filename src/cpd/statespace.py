@@ -50,9 +50,11 @@ by default.
 
 ``succ`` is the one stored edge relation: ``succ[s]`` is the tuple of
 (action index, target) edges out of state s in that order, an index into
-``actions``, the distinct actions in the order the skeleton numbered them;
-``parents`` names actions the same way.  ``transitions``, with ``Action``s,
-and ``predecessors()`` are derived from ``succ`` on each call, in its order.
+``actions``, the distinct actions in the order the skeleton numbered them.
+``transitions``, with ``Action``s, ``predecessors()`` and the breadth-first
+tree that ``trace_to`` follows are derived from ``succ`` on each call.  The
+tree edge into a state is the first edge into it in state and edge order:
+as states are numbered in discovery order, that is the tree ``explore`` grew.
 """
 
 from __future__ import annotations
@@ -104,8 +106,6 @@ class StateSpace(Record):
     values: list[tuple[int, ...]]
     initial: int
     marked: set[int]
-    # breadth-first tree: parents[s] = (predecessor, action index), None at the root
-    parents: list[tuple[int, int] | None]
     succ: list[tuple[tuple[int, int], ...]]
     actions: list[Action]
 
@@ -126,8 +126,9 @@ class StateSpace(Record):
                         for v, value in zip(self.declarations.variables, self.values[state]))
 
     def trace_to(self, state: int) -> list[Action]:
-        """Shortest action trail from the initial state, along the BFS tree."""
-        return [self.actions[a] for a in _trail(self.parents, state)]
+        """Shortest action trail from the initial state, along the BFS tree;
+        ValueError for a state the initial one does not reach."""
+        return [self.actions[a] for a in _trail(self.succ, self.initial, state)]
 
     def predecessors(self) -> list[list[int]]:
         """Source states of the transitions into each state."""
@@ -138,15 +139,25 @@ class StateSpace(Record):
         return pred
 
 
-def _trail(parents: list[tuple[int, int] | None], state: int) -> list[int]:
-    trail: list[int] = []
-    cur = state
-    while True:
-        parent = parents[cur]
-        if parent is None:
+def _trail(succ: Sequence[Sequence[tuple[int, int]]], initial: int, state: int) -> list[int]:
+    """Action indices from ``initial`` to ``state`` along the breadth-first
+    tree (module docstring); reads ``succ`` only up to the state's discoverer."""
+    parent: dict[int, int | None] = {initial: None}
+    queue = [initial]
+    for src in queue:
+        if state in parent:
             break
-        cur, a = parent
-        trail.append(a)
+        for _, dst in succ[src]:
+            if dst not in parent:
+                parent[dst] = src
+                queue.append(dst)
+    if state not in parent:
+        raise ValueError(f"state {state} is not reachable from state {initial}")
+    trail: list[int] = []
+    while (src := parent[state]) is not None:
+        # the tree edge is the parent's first edge into the state
+        trail.append(next(a for a, dst in succ[src] if dst == state))
+        state = src
     trail.reverse()
     return trail
 
@@ -182,7 +193,6 @@ def explore(
         root_key += (root.env.rho,)
     index = {root_key: 0}
     marked: set[int] = set()
-    parents: list[tuple[int, int] | None] = [None]
     succ: list[tuple[tuple[int, int], ...]] = []
 
     # components grows as states are found, so this is breadth first
@@ -206,13 +216,12 @@ def explore(
             if dst is None:
                 dst = len(values)
                 if budget is not None and dst >= budget:
-                    raise BudgetError(budget, dst, dst - src - 1, len(_trail(parents, src)))
+                    raise BudgetError(budget, dst, dst - src - 1, len(_trail(succ, 0, src)))
                 index[key] = dst
                 ids.append(target_ids)
                 values.append(target_values)
                 rho = frozenset(writes)
                 written.append(interned.setdefault(rho, rho))
-                parents.append((src, a))
                 successor = list(parts)
                 for position, residual, _ in changes:
                     successor[position] = residual
@@ -227,7 +236,6 @@ def explore(
         values=values,
         initial=0,
         marked=marked,
-        parents=parents,
         succ=succ,
         actions=skeleton.actions,
     )

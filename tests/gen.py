@@ -148,7 +148,7 @@ def random_graph_space(rng: random.Random, actions, states: int = 6,
                 edges.add((rng.choice(actions), rng.randrange(states)))
         succ.append(sorted(edges, key=lambda e: (e[0].sort_key(), e[1])))
     marked = {s for s in range(states) if rng.random() < 0.5}
-    return numbered_space(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
+    return numbered_space(REL_DECLS, [None] * states, 0, marked, succ)
 
 
 def doubled_pair(rng: random.Random, actions, states: int = 6):
@@ -170,9 +170,9 @@ def doubled_pair(rng: random.Random, actions, states: int = 6):
     copies = [order({(a, c) for a, t in edges
                      for c in rng.choice(((t,), (t + states,), (t, t + states)))})
               for edges in succ + succ]
-    left = numbered_space(REL_DECLS, [None] * states, 0, marked, [None] * states, succ)
+    left = numbered_space(REL_DECLS, [None] * states, 0, marked, succ)
     right = numbered_space(REL_DECLS, [None] * 2 * states, 0,
-                           marked | {s + states for s in marked}, [None] * 2 * states, copies)
+                           marked | {s + states for s in marked}, copies)
     return left, right
 
 

@@ -156,27 +156,41 @@ def action_succ(ss: StateSpace) -> list[list[tuple[Action, int]]]:
     return [[(ss.actions[a], dst) for a, dst in edges] for edges in ss.succ]
 
 
-def action_parents(ss: StateSpace) -> list[tuple[int, Action] | None]:
-    """``ss.parents`` with each action index replaced by its ``Action``."""
-    return [None if p is None else (p[0], ss.actions[p[1]]) for p in ss.parents]
-
-
-def numbered_space(declarations, states, initial, marked, parents, succ) -> StateSpace:
-    """A ``StateSpace`` from parents and edges that carry ``Action``s: each
-    distinct action gets an index, in the order first met in ``succ`` and
-    then in ``parents``.  A state given as None, in a space of edges only,
-    has values None."""
+def numbered_space(declarations, states, initial, marked, succ) -> StateSpace:
+    """A ``StateSpace`` from edges that carry ``Action``s: each distinct
+    action gets an index, in the order first met in ``succ``.  A state given
+    as None, in a space of edges only, has values None."""
     index = {}
-
-    def number(action):
-        return index.setdefault(action, len(index))
-
-    edges = [[(number(a), dst) for a, dst in out] for out in succ]
-    tree = [None if p is None else (p[0], number(p[1])) for p in parents]
+    edges = [[(index.setdefault(a, len(index)), dst) for a, dst in out] for out in succ]
     return StateSpace(declarations=declarations, states=states,
                       values=[None if c is None else c.env.alpha.values_tuple for c in states],
-                      initial=initial, marked=marked, parents=tree, succ=edges,
-                      actions=list(index))
+                      initial=initial, marked=marked, succ=edges, actions=list(index))
+
+
+def tree_trail(parents, state):
+    """The actions on the path from the root to ``state`` in a tree given as
+    ``parents[s] = (predecessor, action)``, None at the root."""
+    trail = []
+    while parents[state] is not None:
+        state, action = parents[state]
+        trail.append(action)
+    return trail[::-1]
+
+
+def bfs_parents_oracle(ss: StateSpace):
+    """Each state reachable from the initial one mapped to the (state,
+    action) of the first edge into it that a breadth-first search over
+    ``action_succ`` meets, the initial state to None."""
+    succ = action_succ(ss)
+    parents = {ss.initial: None}
+    queue = deque([ss.initial])
+    while queue:
+        src = queue.popleft()
+        for action, dst in succ[src]:
+            if dst not in parents:
+                parents[dst] = (src, action)
+                queue.append(dst)
+    return parents
 
 
 def _succ_by_action(ss: StateSpace) -> list[dict[Action, list[int]]]:
@@ -765,7 +779,8 @@ def step_oracle(declarations, t, env):
 def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
     """Breadth-first exploration keyed by the whole canonical term (deep
     equality and hashing) plus the valuation object, stepping with
-    ``step_oracle``."""
+    ``step_oracle``.  Returns the space and its breadth-first tree, as
+    ``parents[s] = (predecessor, action)``, None at the root."""
 
     def identity(conf):
         key = (canonical_oracle(conf.term), conf.env.alpha)
@@ -804,7 +819,7 @@ def explore_oracle(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=Fa
             seen_here.add(edge)
             outgoing.append(edge)
         succ.append(outgoing)
-    return numbered_space(declarations, states, 0, marked, parents, succ)
+    return numbered_space(declarations, states, 0, marked, succ), parents
 
 
 def derive_reference(declarations, t, alpha):
@@ -888,7 +903,8 @@ def derive_reference(declarations, t, alpha):
 def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity=False):
     """The explorer that the component-vector ``explore`` replaced: each
     state's whole term goes through ``derive_reference``, and a successor is
-    keyed by the canonical id of its whole rebuilt term plus its values."""
+    keyed by the canonical id of its whole rebuilt term plus its values.
+    Returns the space and its breadth-first tree, as ``explore_oracle``."""
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     for t in reversed(list(subterms(root.term))):
@@ -938,7 +954,7 @@ def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity
             seen_here.add(edge)
             outgoing.append(edge)
         succ.append(outgoing)
-    return numbered_space(declarations, states, 0, marked, parents, succ)
+    return numbered_space(declarations, states, 0, marked, succ), parents
 
 
 @dataclasses.dataclass

@@ -416,7 +416,6 @@ def graph_controllability_ok(base, edges, reach):
         states=[base.states[s] for s in order],
         initial=remap[base.initial],
         marked={remap[s] for s in base.marked if s in reach},
-        parents=[None] * len(order),
         succ=succ,
     )
     return partial_bisim(sub, base, "uncontrollable").holds

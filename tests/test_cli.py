@@ -18,6 +18,8 @@ from cpd.parser import parse, print_spec
 from cpd.statespace import explore
 from cpd.terms import Action, Channel
 
+from oracles import bfs_parents_oracle
+
 DOOMED = """uncontrollable u;
 var x : 1..2 = 1;
 process P = u![x := 2].1;
@@ -168,7 +170,7 @@ class TestExplore:
         spec = parse(model_text("ppf_1_1"), "cell.cpd")
         root = operational_root(spec, unsupervised=bool(flags))
         full = explore(root, spec.declarations, budget=None)
-        src = full.parents[10][0]
+        src = bfs_parents_oracle(full)[10][0]
         assert 10 - (src + 1) == frontier
         assert len(full.trace_to(src)) == depth
 

@@ -20,17 +20,18 @@ from cpd.semantics import Configuration
 from cpd.statespace import explore
 from cpd.terms import subterms
 
-from oracles import action_parents, explore_reference
+from oracles import bfs_parents_oracle, explore_reference, tree_trail
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 RHO = pytest.mark.parametrize("rho", [False, True])
 
 
 def assert_explores_like_reference(root, declarations, rho, budget=None):
-    """Same states, printed terms, valuations, written sets, marked states,
-    parents and edges; or the same error with the same text."""
+    """Same states, printed terms, valuations, written sets, marked states
+    and edges, and every state's trace along the reference's own tree; or
+    the same error with the same text."""
     try:
-        old = explore_reference(root, declarations, budget, rho)
+        old, tree = explore_reference(root, declarations, budget, rho)
     except (BudgetError, ModelError) as exc:
         with pytest.raises(type(exc)) as caught:
             explore(root, declarations, budget, rho)
@@ -44,8 +45,9 @@ def assert_explores_like_reference(root, declarations, rho, budget=None):
     assert list(new.states) == list(old.states)
     assert new.values == old.values
     assert new.marked == old.marked
-    assert action_parents(new) == action_parents(old)
     assert new.transitions == old.transitions
+    assert [new.trace_to(s) for s in range(len(new))] == [
+        tree_trail(tree, s) for s in range(len(new))]
 
 
 @RHO
@@ -181,9 +183,10 @@ def test_successor_shares_unchanged_subtrees_with_its_source():
     space = explore(Configuration(term, gen.REL_DECLS.initial_environment()), gen.REL_DECLS)
     assert len(space) == 3 * 2 * 3
     components = space.states.components
+    parents = bfs_parents_oracle(space)
     assert [len(parts) for parts in components] == [3] * len(space)
     for state in range(1, len(space)):
-        new, old = components[state], components[space.parents[state][0]]
+        new, old = components[state], components[parents[state][0]]
         assert [n is o for n, o in zip(new, old)].count(True) == 2
 
 

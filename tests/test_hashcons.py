@@ -36,7 +36,7 @@ from cpd.terms import (
     send,
 )
 
-from oracles import action_parents, canonical_oracle, explore_oracle
+from oracles import canonical_oracle, explore_oracle, tree_trail
 
 A = Prefix(send(Channel("a", True)), EMPTY_UPDATE, TERMINATION)
 B = Prefix(send(Channel("b", True)), EMPTY_UPDATE, TERMINATION)
@@ -128,7 +128,7 @@ class TestCanonicalIds:
         assert not gc.is_tracked(key)
 
 
-def assert_same_space(new, old):
+def assert_same_space(new, old, tree):
     assert [c.env.alpha for c in new.states] == [c.env.alpha for c in old.states]
     assert [term_to_str(c.term) for c in new.states] == [
         term_to_str(c.term) for c in old.states
@@ -136,17 +136,18 @@ def assert_same_space(new, old):
     assert list(new.states) == list(old.states)
     assert new.transitions == old.transitions
     assert new.marked == old.marked
-    assert action_parents(new) == action_parents(old)
+    assert [new.trace_to(s) for s in range(len(new))] == [
+        tree_trail(tree, s) for s in range(len(new))]
 
 
 def assert_explores_like_oracle(root, declarations, rho_in_identity, budget=None):
     try:
-        old = explore_oracle(root, declarations, budget, rho_in_identity)
+        old, tree = explore_oracle(root, declarations, budget, rho_in_identity)
     except BudgetError:
         with pytest.raises(BudgetError):
             explore(root, declarations, budget, rho_in_identity)
         return
-    assert_same_space(explore(root, declarations, budget, rho_in_identity), old)
+    assert_same_space(explore(root, declarations, budget, rho_in_identity), old, tree)
 
 
 RHO = pytest.mark.parametrize("rho", [False, True])

@@ -13,10 +13,25 @@ from cpd.parser import parse
 from cpd.ppf import instantiate_ppf
 from cpd.semantics import Configuration, Engine
 from cpd.statespace import DEFAULT_BUDGET, StateSpace, coreachable, explore, export
-from cpd.terms import DEADLOCK, TERMINATION, Declarations, Environment, Valuation
+from cpd.terms import (
+    DEADLOCK,
+    TERMINATION,
+    Declarations,
+    Environment,
+    Valuation,
+    receive,
+    send,
+)
 
-from gen import random_small_space
-from oracles import coreachable_oracle, shortest_trail_oracle
+from gen import REL_CHANNELS, REL_DECLS, random_graph_space, random_small_space
+from oracles import (
+    action_succ,
+    bfs_parents_oracle,
+    coreachable_oracle,
+    numbered_space,
+    shortest_trail_oracle,
+    tree_trail,
+)
 
 EMPTY = Declarations(variables=(), channels=())
 
@@ -129,16 +144,40 @@ class TestTraces:
         rng = random.Random(23)
         for _ in range(10):
             ss = random_small_space(rng)
-            edges = set()
-            for src, action, dst in ss.transitions:
-                edges.add((src, action, dst))
+            edges = set(ss.transitions)
+            parents = bfs_parents_oracle(ss)
             for s in range(len(ss)):
                 cur = s
-                while ss.parents[cur] is not None:
-                    src, a = ss.parents[cur]
-                    assert (src, ss.actions[a], cur) in edges
+                while parents[cur] is not None:
+                    src, action = parents[cur]
+                    assert (src, action, cur) in edges
                     cur = src
                 assert cur == ss.initial
+                assert ss.trace_to(s) == tree_trail(parents, s)
+
+    def test_hand_built_graphs_rooted_anywhere(self):
+        # graphs not numbered in discovery order, with any initial state: a
+        # trail is spelled by a walk along real edges, is a shortest one, and
+        # a state the initial one does not reach has none
+        rng = random.Random(29)
+        actions = [send(c) for c in REL_CHANNELS] + [receive(c) for c in REL_CHANNELS]
+        for _ in range(200):
+            drawn = random_graph_space(rng, actions, rng.randint(1, 8), sinks=0.2)
+            ss = numbered_space(REL_DECLS, drawn.states, rng.randrange(len(drawn)),
+                                drawn.marked, action_succ(drawn))
+            succ = action_succ(ss)
+            for s in range(len(ss)):
+                shortest = shortest_trail_oracle(ss, s)
+                if shortest is None:
+                    with pytest.raises(ValueError):
+                        ss.trace_to(s)
+                    continue
+                trail = ss.trace_to(s)
+                assert len(trail) == len(shortest)
+                ends = {ss.initial}
+                for action in trail:
+                    ends = {dst for state in ends for a, dst in succ[state] if a == action}
+                assert s in ends
 
 
 class TestCoreachable:
