@@ -19,12 +19,14 @@ Comments run from ``#`` to end of line.  Channels, processes, and data names
 namespaces; every name must be declared before use.  Subscripted action
 arities are written ``c!_2?_3``; a bare ``!`` or ``?`` means arity one.
 Names consisting of an underscore followed by digits are reserved for these
-subscripts and cannot be declared.
+subscripts and cannot be declared.  A token keeps only its start offset;
+line and column are derived from it for diagnostics alone.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .errors import Diagnostic, SpecError
 from .records import Frozen, Record
@@ -93,8 +95,8 @@ KEYWORDS = frozenset(
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
+      (?P<skip>[ \t\r\n]+|\#[^\n]*)
+    | (?P<sub>_[0-9]+(?![A-Za-z0-9_]))
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<int>[0-9]+)
     | (?P<sym>\|\||:=|\.\.|->|=>|/\\|\\/|<=|>=|!=|[;,:=(){}\[\]+\-*.<>!?])
@@ -102,45 +104,37 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_SUB_RE = re.compile(r"_[0-9]+\Z")
-
 
 class Token(Frozen):
+    """A lexeme and its start offset; a diagnostic derives line and column from it."""
+
     kind: str  # name, int, sub, sym, eof
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def _line_column(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; a tab or ``\\r`` is one column."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
 def tokenize(text: str, filename: str = "<spec>") -> list[Token]:
     tokens: list[Token] = []
     pos = 0
-    line = 1
-    col = 1
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise SpecError([Diagnostic(filename, line, col, f"unexpected character {text[pos]!r}")])
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "name":
-            if _SUB_RE.match(lexeme):
-                tokens.append(Token("sub", lexeme, line, col))
-            else:
-                tokens.append(Token("name", lexeme, line, col))
-        elif kind == "int":
-            tokens.append(Token("int", lexeme, line, col))
-        elif kind == "sym":
-            tokens.append(Token("sym", lexeme, line, col))
-        # ws and comments are skipped
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+            line, column = _line_column(_line_starts(text), pos)
+            raise SpecError([Diagnostic(filename, line, column, f"unexpected character {text[pos]!r}")])
+        if m.lastgroup != "skip":  # whitespace and comments
+            tokens.append(Token(m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
@@ -170,9 +164,11 @@ class SystemSpec(Record):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.tokens = tokenize(text, filename)
         self.filename = filename
+        self.line_starts: list[int] = []  # built by the first diagnostic
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.furthest: tuple[int, str] | None = None
@@ -195,8 +191,8 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        # advance never moves past eof, so only a look ahead needs clamping
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1) if ahead else self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -205,11 +201,11 @@ class Parser:
         return tok
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "sym" and tok.text == text
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "name" and tok.text == word
 
     def _fail(self, message: str, index: int | None = None) -> None:
@@ -219,7 +215,9 @@ class Parser:
         raise _ParseFail(message)
 
     def report(self, tok: Token, message: str) -> None:
-        self.diagnostics.append(Diagnostic(self.filename, tok.line, tok.column, message))
+        self.line_starts = self.line_starts or _line_starts(self.text)
+        line, column = _line_column(self.line_starts, tok.offset)
+        self.diagnostics.append(Diagnostic(self.filename, line, column, message))
 
     def expect_sym(self, text: str) -> Token:
         if not self.at_sym(text):
@@ -767,7 +765,7 @@ class Parser:
 
 def parse(text: str, filename: str = "<spec>") -> SystemSpec:
     """Parse a specification; raises SpecError carrying diagnostics on failure."""
-    parser = Parser(tokenize(text, filename), filename)
+    parser = Parser(text, filename)
     spec = parser.run()
     if spec is None or parser.diagnostics:
         if not parser.diagnostics:

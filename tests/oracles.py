@@ -10,7 +10,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections import deque
+import re
+from collections import deque, namedtuple
 
 from cpd.control import (
     GlobalSatisfaction,
@@ -19,7 +20,7 @@ from cpd.control import (
     renamed_plant,
     supervised_plant,
 )
-from cpd.errors import BudgetError, ModelError, SynthesisError
+from cpd.errors import BudgetError, Diagnostic, ModelError, SpecError, SynthesisError
 from cpd.printer import actionset_to_str, bool_to_str, update_to_str
 from cpd.records import Frozen, Record
 from cpd.relations import (
@@ -1268,3 +1269,56 @@ def dataclass_twin(cls):
     }
     return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace,
                                       frozen=issubclass(cls, Frozen))
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer that tracked line and column for every token
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>[0-9]+)
+    | (?P<sym>\|\||:=|\.\.|->|=>|/\\|\\/|<=|>=|!=|[;,:=(){}\[\]+\-*.<>!?])
+    """,
+    re.VERBOSE,
+)
+
+_SUB_RE = re.compile(r"_[0-9]+\Z")
+
+Token = namedtuple("Token", "kind text line column")
+
+
+def tokenize_oracle(text: str, filename: str = "<spec>") -> list[Token]:
+    """Tokens with the line and column counted lexeme by lexeme, and a name
+    matched a second time to tell a subscript from a name."""
+    tokens: list[Token] = []
+    pos = 0
+    line = 1
+    col = 1
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise SpecError([Diagnostic(filename, line, col, f"unexpected character {text[pos]!r}")])
+        lexeme = m.group(0)
+        kind = m.lastgroup
+        if kind == "name":
+            if _SUB_RE.match(lexeme):
+                tokens.append(Token("sub", lexeme, line, col))
+            else:
+                tokens.append(Token("name", lexeme, line, col))
+        elif kind == "int":
+            tokens.append(Token("int", lexeme, line, col))
+        elif kind == "sym":
+            tokens.append(Token("sym", lexeme, line, col))
+        # ws and comments are skipped
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
