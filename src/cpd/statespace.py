@@ -51,15 +51,16 @@ by default.
 ``succ`` is the one stored edge relation: ``succ[s]`` is the tuple of
 (action index, target) edges out of state s in that order, an index into
 ``actions``, the distinct actions in the order the skeleton numbered them.
-``transitions``, with ``Action``s, ``predecessors()`` and the breadth-first
-tree that ``trace_to`` follows are derived from ``succ`` on each call.  The
-tree edge into a state is the first edge into it in state and edge order:
-as states are numbered in discovery order, that is the tree ``explore`` grew.
+``transitions``, with ``Action``s, and ``predecessors()`` are derived from
+``succ`` on each call, and ``trace_to``'s breadth-first tree once per space,
+by the first trail asked for.  A state's tree edge is the first edge into it
+in breadth-first and edge order: the edge ``explore`` first found it by.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterable, Sequence
 
 from .errors import BudgetError
@@ -108,6 +109,7 @@ class StateSpace(Record):
     marked: set[int]
     succ: list[tuple[tuple[int, int], ...]]
     actions: list[Action]
+    _tree = None  # not a field: the breadth-first tree, set by the first trace_to
 
     def __len__(self) -> int:
         return len(self.values)
@@ -128,7 +130,9 @@ class StateSpace(Record):
     def trace_to(self, state: int) -> list[Action]:
         """Shortest action trail from the initial state, along the BFS tree;
         ValueError for a state the initial one does not reach."""
-        return [self.actions[a] for a in _trail(self.succ, self.initial, state)]
+        if self._tree is None:
+            self._tree = _bfs_tree(self.succ, self.initial, len(self.succ))
+        return [self.actions[a] for a in _trail(self._tree, self.initial, state)]
 
     def predecessors(self) -> list[list[int]]:
         """Source states of the transitions into each state."""
@@ -139,27 +143,31 @@ class StateSpace(Record):
         return pred
 
 
-def _trail(succ: Sequence[Sequence[tuple[int, int]]], initial: int, state: int) -> list[int]:
-    """Action indices from ``initial`` to ``state`` along the breadth-first
-    tree (module docstring); reads ``succ`` only up to the state's discoverer."""
-    parent: dict[int, int | None] = {initial: None}
+def _bfs_tree(succ: Sequence[Sequence[tuple[int, int]]], initial: int, size: int) -> tuple:
+    """The breadth-first tree (module docstring): each state's parent and tree
+    edge's action index, -1 for none, up to the first state with no row."""
+    parent, via = array("i", [-1]) * size, array("i", [-1]) * size
     queue = [initial]
     for src in queue:
-        if state in parent:
+        if src == len(succ):
             break
-        for _, dst in succ[src]:
-            if dst not in parent:
-                parent[dst] = src
+        for a, dst in succ[src]:
+            if parent[dst] < 0 and dst != initial:
+                parent[dst], via[dst] = src, a
                 queue.append(dst)
-    if state not in parent:
-        raise ValueError(f"state {state} is not reachable from state {initial}")
+    return parent, via
+
+
+def _trail(tree: tuple, initial: int, state: int) -> list[int]:
+    """Action indices from ``initial`` to ``state`` along ``tree``."""
+    parent, via = tree
     trail: list[int] = []
-    while (src := parent[state]) is not None:
-        # the tree edge is the parent's first edge into the state
-        trail.append(next(a for a, dst in succ[src] if dst == state))
-        state = src
-    trail.reverse()
-    return trail
+    while state != initial:
+        if not 0 <= state < len(parent) or parent[state] < 0:
+            raise ValueError(f"state {state} is not reachable from state {initial}")
+        trail.append(via[state])
+        state = parent[state]
+    return trail[::-1]
 
 
 def explore(
@@ -216,7 +224,8 @@ def explore(
             if dst is None:
                 dst = len(values)
                 if budget is not None and dst >= budget:
-                    raise BudgetError(budget, dst, dst - src - 1, len(_trail(succ, 0, src)))
+                    depth = len(_trail(_bfs_tree(succ, 0, dst), 0, src))
+                    raise BudgetError(budget, dst, dst - src - 1, depth)
                 index[key] = dst
                 ids.append(target_ids)
                 values.append(target_values)

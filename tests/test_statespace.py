@@ -179,6 +179,37 @@ class TestTraces:
                     ends = {dst for state in ends for a, dst in succ[state] if a == action}
                 assert s in ends
 
+    def test_trails_in_any_order_from_one_tree_per_space(self):
+        # the first trail derives the space's tree and later ones walk it:
+        # every state's trail, asked in a shuffled order with repeats, is the
+        # oracle tree's; an unreachable or out-of-range state raises with the
+        # tree in place; a copy with another initial state gets its own tree
+        rng = random.Random(37)
+        actions = [send(c) for c in REL_CHANNELS] + [receive(c) for c in REL_CHANNELS]
+
+        def assert_trails(ss):
+            parents = bfs_parents_oracle(ss)
+            order = [*range(len(ss)), *range(len(ss)), -1, len(ss)]
+            rng.shuffle(order)
+            for s in order:
+                if s in parents:
+                    assert ss.trace_to(s) == tree_trail(parents, s)
+                else:
+                    with pytest.raises(ValueError):
+                        ss.trace_to(s)
+
+        for _ in range(200):
+            drawn = random_graph_space(rng, actions, rng.randint(1, 8), sinks=0.2)
+            ss = numbered_space(REL_DECLS, drawn.states, rng.randrange(len(drawn)),
+                                drawn.marked, action_succ(drawn))
+            assert "_tree" not in ss.__dict__
+            assert_trails(ss)
+            moved = StateSpace(**{**{name: getattr(ss, name) for name in ss._fields},
+                                  "initial": rng.randrange(len(ss))})
+            assert "_tree" not in moved.__dict__
+            assert_trails(moved)
+            assert_trails(ss)
+
 
 class TestCoreachable:
     def test_matches_oracle(self):
