@@ -56,10 +56,11 @@ The removal order is kept exactly, because the counterexample depends on
 it.  Pairs are the ``(left, right)`` tuples, and the worklist starts in the
 iteration order of the set of all pairs added in discovery order.  A removed
 pair schedules its parents in discovery order, which is the order a BFS that
-stored each pair's predecessors would list them in.  The fixpoint stops
-when the root is removed: the counterexample is the chain of removal
-reasons from the root, each naming a pair removed before it, so later
-removals cannot change it, and a failing result carries no witness.
+stored each pair's predecessors would list them in.  Each removal records its
+first move with no alive child.  Once the root is removed the fixpoint stops,
+and the play walks from the root: no child of a pair's move was alive when
+the pair was removed, so the play continues at the earliest removed one.
+Later removals cannot change it, and a failing result carries no witness.
 """
 
 from __future__ import annotations
@@ -150,9 +151,6 @@ class RelationResult(Record):
     holds: bool
     witness: frozenset[tuple[int, int]] | None = None
     counterexample: Counterexample | None = None
-    # which check produced the counterexample: "forward" for left vs right,
-    # "backward" when bisimilar failed on the right-vs-left direction
-    direction: str = "forward"
 
 
 class _Actions:
@@ -340,54 +338,45 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     named = list(actions.ids)
     in_b = actions.in_b
 
-    # clause, action, continuation pair (already removed) or None
-    reason: dict[tuple[int, int], tuple[int, Action | None, tuple[int, int] | None]] = {}
-    removed_at: dict[tuple[int, int], int] = {}
+    # each removed pair in removal order, with its move: clause, action index
+    # and target (left for clause 2, right for 3), or (1, None, None)
+    moves: dict[tuple[int, int], tuple[int, int | None, int | None]] = {}
     alive: set[tuple[int, int]] = set()
-
-    def remove(pair, why) -> None:
-        reason[pair] = why
-        removed_at[pair] = len(removed_at)
 
     # the worklist starts in this set's iteration order, which the
     # counterexample depends on: set(order) adds the pairs one by one
     for pair in set(order):
         i, j = pair
         if (i in left.marked) != (j in right.marked):
-            remove(pair, (1, None, None))
+            moves[pair] = (1, None, None)
         else:
             alive.add(pair)
     del order  # the fixpoint does not read it
 
     def violation(pair):
-        """First violated clause at the pair, or None while it is satisfied."""
+        """The first move at the pair with no alive child, or None while
+        every move has one."""
         i, j = pair
         ltable = lbuilt[i]
         rtable = rbuilt[j]
         for a, ltargets in ltable.items():
             rtargets = rtable.get(a, ())
             for li in ltargets:
-                dead = []
                 for rj in rtargets:
                     if (li, rj) in alive:
                         break
-                    dead.append((li, rj))
                 else:
-                    cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (2, named[a], cont)
+                    return (2, a, li)
         for a, rtargets in rtable.items():
             if not in_b >> a & 1:
                 continue
             ltargets = ltable.get(a, ())
             for rj in rtargets:
-                dead = []
                 for li in ltargets:
                     if (li, rj) in alive:
                         break
-                    dead.append((li, rj))
                 else:
-                    cont = min(dead, key=removed_at.__getitem__) if dead else None
-                    return (3, named[a], cont)
+                    return (3, a, rj)
         return None
 
     # reverse tables {target: {action index: [sources]}}, left and right,
@@ -405,20 +394,19 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
         return {p for a in lin.keys() & rin.keys() for p in product(lin[a], rin[a])
                 if p in alive and p not in scheduled}
 
-    # the counterexample is the chain of reasons from the root, each naming a
-    # pair removed before it, so the fixpoint can stop once the root is out
+    # the counterexample reads only pairs removed before the root, so the
+    # fixpoint can stop once the root is out; a popped pair is alive, since
+    # only its own pop removes it and parents are scheduled while alive
     worklist = deque(alive)
     scheduled = set(alive)  # the pairs in the worklist
     while root in alive and worklist:
         pair = worklist.popleft()
         scheduled.discard(pair)
-        if pair not in alive:
-            continue
-        why = violation(pair)
-        if why is None:
+        move = violation(pair)
+        if move is None:
             continue
         alive.discard(pair)
-        remove(pair, why)
+        moves[pair] = move
         # the alive parents not yet scheduled, in discovery order, the order
         # the BFS met them in
         fresh = sorted(parents(pair), key=index.__getitem__)
@@ -428,12 +416,19 @@ def _ordered(left: StateSpace, right: StateSpace, lside, rside,
     if root in alive:
         return RelationResult(holds=True, witness=frozenset(alive))
 
+    removed_at = {pair: k for k, pair in enumerate(moves)}
     steps: list[PlayStep] = []
     cursor: tuple[int, int] | None = root
     while cursor is not None:
-        clause, action, nxt = reason[cursor]
-        steps.append(PlayStep(cursor[0], cursor[1], clause, action))
-        cursor = nxt
+        i, j = cursor
+        clause, a, target = moves[cursor]
+        if clause == 1:
+            steps.append(PlayStep(i, j, 1, None))
+            break
+        steps.append(PlayStep(i, j, clause, named[a]))
+        children = ([(target, rj) for rj in rbuilt[j].get(a, ())] if clause == 2
+                    else [(li, target) for li in lbuilt[i].get(a, ())])
+        cursor = min(children, key=removed_at.__getitem__, default=None)
     return RelationResult(holds=False, counterexample=Counterexample(tuple(steps)))
 
 
@@ -443,13 +438,8 @@ def simulated_by(left: StateSpace, right: StateSpace) -> RelationResult:
 
 
 def bisimilar(left: StateSpace, right: StateSpace) -> RelationResult:
-    """Bisimulation equivalence of the initial states: the full-action-set
-    preorder checked in both directions."""
-    forward = partial_bisim(left, right, "all")
-    if not forward.holds:
-        return forward
-    backward = partial_bisim(right, left, "all")
-    if not backward.holds:
-        backward.direction = "backward"
-        return backward
-    return forward
+    """Bisimulation equivalence of the initial states: the preorder with
+    every action in B.  Every clause is then symmetric, so the relation
+    holds in one direction iff its transpose holds in the other, and one
+    check decides both."""
+    return partial_bisim(left, right, "all")

@@ -228,8 +228,6 @@ def minimize_guard(
         return TRUE
 
     keep, on_kept, off_kept = _eliminate_variables(declarations, on, off)
-    if not keep:
-        return TRUE
     variables = [declarations.variables[i] for i in keep]
     domains = [list(v.domain.values()) for v in variables]
     # each variable's field, and the bit of each of its values

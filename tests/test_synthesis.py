@@ -177,6 +177,8 @@ class TestEliminateVariablesMatchesOracle:
             on_pts, off_pts = points(on), points(off)
             keep, on_kept, off_kept = _eliminate_variables(decls, on_pts, off_pts)
             assert keep == eliminate_variables_oracle(decls, on_pts, off_pts)
+            # dropping every variable would project both sets onto {()}
+            assert keep or not (on_pts and off_pts)
             assert (on_kept, off_kept) == (_project(on_pts, keep), _project(off_pts, keep))
             kept_sizes.add((len(keep), len(sizes)))
             assert (bool_to_str(minimize_guard(decls, on_pts, off_pts))
