@@ -114,7 +114,7 @@ class Engine:
             skeleton = Skeleton(t, self, alpha)
             ends, steps = skeleton.derive(skeleton.components, alpha)
             return ends, [(skeleton.actions[a], skeleton.fill(changes), writes)
-                          for a, writes, changes in steps]
+                          for a, writes, changes, _ in steps]
         if isinstance(t, Prefix):
             writes: dict[str, int] = {}
             for name, expr in t.update:
@@ -168,9 +168,10 @@ class Engine:
         raise TypeError(f"not a process term: {t!r}")
 
 
-# a step of the skeleton pass: its action's index, the values it writes, and
-# the (position, residual, residual id) of each component it changes
-VectorStep = tuple[int, dict[str, int], tuple[tuple[int, ProcessTerm, int], ...]]
+# a step of the skeleton pass: its action's index, the values it writes, the
+# (position, residual) of each component it changes, and its slot delta
+VectorStep = tuple[int, dict[str, int], tuple[tuple[int, ProcessTerm], ...],
+                   tuple[tuple[int, int], ...]]
 
 
 class Skeleton:
@@ -187,7 +188,11 @@ class Skeleton:
     A step carries its action as an index into ``actions``, the distinct
     actions in the order the skeleton first meets them, and channels are
     numbered likewise.  The memos, the shared channel sets and ``explore``'s
-    edges read ints; only a new table entry or synchronization hashes one."""
+    edges read ints; only a new table entry or synchronization hashes one.
+
+    A step's slot delta (``statespace``) writes the residual's id at its
+    position and each value at its variable's slot in ``slots``; a
+    synchronization concatenates its parties' deltas."""
 
     def __init__(self, term: ProcessTerm, engine: Engine, alpha: Valuation):
         self.engine = engine
@@ -241,6 +246,8 @@ class Skeleton:
         # the values of the variables the position's initial term reads;
         # an entry keeps its term alive so that its id is not reused
         order = {name: i for i, name in enumerate(alpha)}
+        # each variable's slot in a state's flat key, after the positions'
+        self.slots = {name: len(self.components) + i for name, i in order.items()}
         self.reads = []
         for component in self.components:
             at = sorted(order[name] for name in read_variables(component) if name in order)
@@ -307,21 +314,25 @@ class Skeleton:
                 partners.setdefault(channel, []).append(step)
         if not partners:
             return
-        for la, lw, lc in left:
-            for ra, rw, rc in partners.get(channel_of[la], ()):
-                if any(rw.get(name, value) != value for name, value in lw.items()):
+        for la, lw, lc, ld in left:
+            for ra, rw, rc, rd in partners.get(channel_of[la], ()):
+                if (lw and rw and not lw.keys().isdisjoint(rw)
+                        and any(rw.get(name, value) != value for name, value in lw.items())):
                     continue
                 a = synced.get((la, ra))
                 if a is None:
                     x, y = self.actions[la], self.actions[ra]
                     a = synced[la, ra] = self._number(Action(
                         x.channel, x.senders + y.senders, x.receivers + y.receivers))
-                out.append((a, {**lw, **rw}, lc + rc))
+                out.append((a, {**lw, **rw}, lc + rc, ld + rd))
 
     def _entry(self, position: int, component: ProcessTerm, alpha: Valuation) -> tuple:
         ends, steps = self.engine.derive(component, alpha)
+        slots = self.slots
         return component, ends, [
-            (self._number(action), writes, ((position, residual, canonical_id(residual)),))
+            (self._number(action), writes, ((position, residual),),
+             ((position, canonical_id(residual)),
+              *[(slots[name], value) for name, value in writes.items()]))
             for action, residual, writes in steps]
 
     def _number(self, action: Action) -> int:

@@ -13,27 +13,33 @@ one per run.  A component whose residual is itself a ``Par`` stays one
 component; ``Engine.derive`` steps it through a skeleton of its own.  A
 root that is not a ``Par`` or ``Encap`` is a single component.
 
-A state's identity is (tuple of the components' canonical ids, tuple of
-variable values), plus the written set under ``rho_in_identity``.  The ids
-come from the process-wide hash-consing table in ``terms``; ``Par`` and
-``Encap`` keys are neither flattened nor sorted, so over a fixed skeleton
-this is the identity of the canonical form of the whole term.  Keying by
-the vector is the tree compression of Laarman, van de Pol & Weber,
-"Parallel recursive state compression for free" (SPIN 2011).
+A state's key is one flat tuple: the components' canonical ids in position
+order, then the variable values, then the written set under
+``rho_in_identity`` only.  The ids come from the process-wide hash-consing
+table in ``terms``; ``Par`` and ``Encap`` keys are neither flattened nor
+sorted, so over a fixed skeleton this is the identity of the canonical form
+of the whole term.  Keying by the vector is the tree compression of
+Laarman, van de Pol & Weber, "Parallel recursive state compression for
+free" (SPIN 2011).
 
 The skeleton keeps a step table per component position.  Its key is the
 component term object plus the values of the variables that position's
 initial term reads in guards and update expressions; its entry is whether
-the component terminates and, for each step, the action's index, the values
-written and the residual with its canonical id.  Residuals come from the table, so the
-same objects recur and the table hits for every state whose component and
-read values repeat.  The skeleton pass combines the entries bottom up with
-the ``||`` and ``encap`` rules.  A step carries the positions it changes,
-and ``explore`` applies them once per transition to key the target.
+the component terminates and, for each step, the action's index, the
+values written, the residual and the slot delta.  Residuals come from the
+table, so the same objects recur and the table hits for every state whose
+component and read values repeat.  The skeleton pass combines the entries
+bottom up with the ``||`` and ``encap`` rules.  A step's slot delta pairs
+each component it changes, by position, with the residual's id, and each
+variable it writes, by its index past the positions, with the value.  As
+in LTSmin's partitioned next-state function (Blom, van de Pol & Weber, CAV
+2010), a transition writes only those slots: ``explore`` copies the
+source's key into a list, writes the delta, builds one tuple, and slices a
+new state's values from it.
 
-A state is stored as its key's ids and values tuples, its component tuple
-and its written set, one list of each in discovery order, and is expanded
-by index.  Its components are the raw residuals the first step into it
+A state is stored as its key, its values tuple, its component tuple and
+its written set, one list of each in discovery order, and is expanded by
+index.  Its components are the raw residuals the first step into it
 produced, sharing its source's unchanged components, so printed terms and
 numbering do not depend on the ids.  Exploration is breadth first with
 transitions ordered by (channel, senders, receivers), so state numbering
@@ -184,22 +190,22 @@ def explore(
         raise ValueError("budget must be at least 1")
     root_alpha = root.env.alpha
     skeleton = Skeleton(root.term, Engine(declarations), root_alpha)
-    keys = skeleton.keys
+    sort_keys = skeleton.keys
 
     def order(step: tuple) -> tuple:
-        return keys[step[0]]
+        return sort_keys[step[0]]
 
-    # per state, in discovery order: its key's ids and values, its
-    # components and the written set of the step that first reached it
+    # per state, in discovery order: its key (module docstring), its values,
+    # its components and the written set of the step that first reached it
     components: list[tuple] = [tuple(skeleton.components)]
-    ids = [tuple(map(canonical_id, components[0]))]
     values = [root_alpha.values_tuple]
     written = [root.env.rho]
     interned = {root.env.rho: root.env.rho}
-    root_key = (ids[0], values[0])
-    if rho_in_identity:
-        root_key += (root.env.rho,)
-    index = {root_key: 0}
+    n = len(components[0])
+    end = n + len(values[0])
+    keys = [tuple(map(canonical_id, components[0])) + values[0]
+            + ((root.env.rho,) if rho_in_identity else ())]
+    index = {keys[0]: 0}
     marked: set[int] = set()
     succ: list[tuple[tuple[int, int], ...]] = []
 
@@ -209,17 +215,15 @@ def explore(
         terminates, steps = skeleton.derive(parts, alpha)
         if terminates:
             marked.add(src)
-        source_ids = ids[src]
+        source = keys[src]
         outgoing: list[tuple[int, int]] = []
-        for a, writes, changes in sorted(steps, key=order):
-            target_values = alpha.assigned(writes)
-            target = list(source_ids)
-            for position, _, rid in changes:
-                target[position] = rid
-            target_ids = tuple(target)
-            key = (target_ids, target_values)
+        for a, writes, changes, delta in sorted(steps, key=order):
+            target = list(source)
+            for slot, value in delta:
+                target[slot] = value
             if rho_in_identity:
-                key += (frozenset(writes),)
+                target[-1] = frozenset(writes)
+            key = tuple(target)
             dst = index.get(key)
             if dst is None:
                 dst = len(values)
@@ -227,12 +231,12 @@ def explore(
                     depth = len(_trail(_bfs_tree(succ, 0, dst), 0, src))
                     raise BudgetError(budget, dst, dst - src - 1, depth)
                 index[key] = dst
-                ids.append(target_ids)
-                values.append(target_values)
+                keys.append(key)
+                values.append(key[n:end])
                 rho = frozenset(writes)
                 written.append(interned.setdefault(rho, rho))
                 successor = list(parts)
-                for position, residual, _ in changes:
+                for position, residual in changes:
                     successor[position] = residual
                 components.append(tuple(successor))
             outgoing.append((a, dst))

@@ -682,16 +682,12 @@ class Valuation(Mapping):
         return len(self._names)
 
     def assign(self, updates: Mapping[str, int]) -> "Valuation":
-        return self.with_values(self.assigned(updates))
-
-    def assigned(self, updates: Mapping[str, int]) -> tuple[int, ...]:
-        """The values tuple after the updates, built without a valuation."""
         if not updates:
-            return self._values
+            return self
         values = list(self._values)
         for name, value in updates.items():
             values[self._index[name]] = value
-        return tuple(values)
+        return self.with_values(tuple(values))
 
     def with_values(self, values: tuple[int, ...]) -> "Valuation":
         """A valuation over the same variables holding ``values``."""

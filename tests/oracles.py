@@ -930,7 +930,7 @@ def explore_reference(root, declarations, budget=DEFAULT_BUDGET, rho_in_identity
         seen_here = set()
         steps.sort(key=lambda step: step[0].sort_key())
         for action, term, writes in steps:
-            values = alpha.assigned(writes)
+            values = alpha.assign(writes).values_tuple
             key = (canonical_id(term), values)
             if rho_in_identity:
                 key += (frozenset(writes),)

@@ -273,3 +273,65 @@ def test_a_moving_starred_component_hits_its_step_table(monkeypatch):
     for skeleton in skeletons:
         assert term_to_str(skeleton.components[0]).startswith("(u![x1 := 1].1")
         assert len(skeleton.tables[0]) <= 3
+
+
+MULTI_WRITE = """uncontrollable u, c;
+var x : 1..3 = 1;
+var y : 1..3 = 1;
+var z : 1..3 = 1;
+process P = (c![x := 2, y := x].1 + u![z := y, x := 3].1)*;
+process Q = (c?[y := 1, z := 2].1 + c?[x := 2].1)*;
+process S = P || Q;
+plant S;
+"""
+
+
+def delta_roots():
+    """The bundled models' three roots, and the renamed plant of both
+    benchmark inputs, SHARED, MULTI_WRITE and 50 generated plants."""
+    for name in ("agv", "ppf_1_1", "ppf_1_1_tampered"):
+        spec = load(name)
+        for root in (renamed_plant(spec), supervised_plant(spec),
+                     supervised_plant(spec, encapsulated=False)):
+            yield root, spec.declarations
+    specs = [parse((INPUTS / f"{name}.cpd").read_text(), name)
+             for name in ("ppf_1_2", "ppf_1_3")]
+    specs += [parse(SHARED), parse(MULTI_WRITE)]
+    specs += [gen.random_plant_spec(random.Random(seed)) for seed in range(50)]
+    for spec in specs:
+        yield renamed_plant(spec), spec.declarations
+
+
+def test_slot_deltas_key_each_step_target():
+    # the delta must write exactly what the step's writes dict and residual
+    # say: applied to the source's flat key it gives the target's component
+    # ids followed by the target's values
+    for root, declarations in delta_roots():
+        space = explore(root, declarations)
+        skeleton = space.states.skeleton
+        components = space.states.components
+        state_of = {tuple(map(terms.canonical_id, parts)) + values: state
+                    for state, (parts, values) in enumerate(zip(components, space.values))}
+        assert len(state_of) == len(space)
+        for src, parts in enumerate(components):
+            alpha = root.env.alpha.with_values(space.values[src])
+            source = tuple(map(terms.canonical_id, parts)) + space.values[src]
+            for a, writes, changes, delta in skeleton.derive(parts, alpha)[1]:
+                target = list(source)
+                for slot, value in delta:
+                    target[slot] = value
+                successor = list(parts)
+                for position, residual in changes:
+                    successor[position] = residual
+                dst = state_of[tuple(map(terms.canonical_id, successor))
+                               + alpha.assign(writes).values_tuple]
+                want = tuple(map(terms.canonical_id, components[dst])) + space.values[dst]
+                assert tuple(target) == want
+                assert (a, dst) in space.succ[src]
+        for position, table in enumerate(skeleton.tables):
+            for _, _, steps in table.values():
+                for _, writes, changes, delta in steps:
+                    (at, residual), = changes
+                    assert at == position
+                    assert delta == ((position, terms.canonical_id(residual)),) + tuple(
+                        (skeleton.slots[name], value) for name, value in writes.items())

@@ -359,6 +359,32 @@ class TestEngineMatchesOracle:
             for conf in ss.states:
                 assert_engine_matches_oracle(spec.declarations, conf.term, conf.env)
 
+    @pytest.mark.parametrize("left, right, survives", [
+        ({"x": 2}, {"y": 3}, True),
+        ({"x": 2, "y": 1}, {"x": 2}, True),
+        ({"x": 2}, {"y": 1, "x": 3}, False),
+        ({}, {"x": 3}, True),
+        ({"x": 3}, {}, True),
+    ], ids=["disjoint", "overlapping-equal", "overlapping-different", "left-writes-nothing",
+            "right-writes-nothing"])
+    def test_write_agreement_decides_which_synchronizations_survive(self, left, right,
+                                                                    survives):
+        # c! and c? in small || terms, alone, beside an interleaving u!,
+        # inside encap and with an encap party: the c!? merge exists exactly
+        # when the parties agree on every name both write
+        sender, receiver = pfx(send(C), **left), pfx(receive(C), **right)
+        blocked = ActionSet(actions=(send(C), receive(C)))
+        terms = [Par(sender, receiver),
+                 Par(Par(sender, pfx(send(U))), receiver),
+                 Encap(blocked, Par(sender, receiver)),
+                 Par(Encap(ActionSet(actions=(send(U),)), sender), receiver)]
+        for term in terms:
+            for alpha in DECLS.all_valuations():
+                env = Environment(alpha, frozenset())
+                assert_engine_matches_oracle(DECLS, term, env)
+                steps = engine().step(Configuration(term, env))
+                assert ("c!?" in labels(steps)) == survives
+
     @pytest.mark.parametrize("term", [
         pfx(receive(C), x=4),
         Alt(pfx(send(U), y=2), Par(pfx(send(C), x=1), pfx(receive(C), x=0))),
